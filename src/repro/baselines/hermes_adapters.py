@@ -2,8 +2,9 @@
 
 ``HermesHeuristic`` is the paper's contribution (Algorithm 2);
 ``HermesOptimal`` is the Gurobi-style exact configuration ("Optimal" in
-the figures), solved by the same branch & bound engine as the ILP
-baselines.
+the figures): P#1 warm-started from the greedy plan
+(:meth:`~repro.core.formulation.HermesMilp.deploy_seeded`), solved by
+HiGHS's branch-and-cut under the default ``fast`` profile.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from repro.baselines.base import DeploymentFramework
-from repro.core.deployment import DeploymentError, DeploymentPlan
+from repro.core.deployment import DeploymentPlan
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
 from repro.milp.branch_bound import DEFAULT_PROFILE
-from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -84,37 +84,4 @@ class HermesOptimal(DeploymentFramework):
             time_limit_s=self.time_limit_s,
             solver_profile=self.solver_profile,
         )
-        heuristic = GreedyHeuristic(
-            epsilon1=self.epsilon1, epsilon2=self.epsilon2
-        )
-        try:
-            greedy_plan = heuristic.deploy(tdg, network, paths)
-        except DeploymentError:
-            greedy_plan = None
-        try:
-            # Seed the exact search with the heuristic incumbent, the
-            # way a practitioner warm-starts Gurobi.
-            plan = formulation.deploy(
-                tdg, network, paths, warm_start_plan=greedy_plan
-            )
-        except DeploymentError:
-            if greedy_plan is None:
-                raise
-            # No better incumbent within the budget: the best-known
-            # solution is the heuristic's.
-            return greedy_plan, True
-        solution = formulation.last_solution
-        timed_out = bool(
-            solution is not None
-            and solution.status
-            in (SolveStatus.FEASIBLE, SolveStatus.TIME_LIMIT)
-        )
-        if timed_out and greedy_plan is not None:
-            # A time-limited incumbent is not necessarily better than
-            # the greedy answer; report whichever has lower overhead.
-            if (
-                greedy_plan.max_metadata_bytes()
-                < plan.max_metadata_bytes()
-            ):
-                return greedy_plan, timed_out
-        return plan, timed_out
+        return formulation.deploy_seeded(tdg, network, paths)

@@ -35,15 +35,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.deployment import DeploymentError, DeploymentPlan, MatPlacement
+from repro.core.heuristic import GreedyHeuristic
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model, Var
 from repro.milp.branch_bound import (
     DEFAULT_PROFILE,
+    PROFILE_FAST,
     SOLVER_PROFILES,
     BranchBoundSolver,
 )
-from repro.milp.solution import Solution
+from repro.milp.highs import HighsSolver
+from repro.milp.solution import Solution, SolveStatus
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -151,13 +154,14 @@ class MilpFormulation:
         explicit_paths: Model ``y(u, v, p)`` path choices over the
             enumerator's k shortest paths instead of decoding shortest
             paths afterwards.
-        time_limit_s: Branch & bound wall-clock budget.
+        time_limit_s: Solver wall-clock budget.
         max_mats_per_switch: Optional per-switch MAT-count cap (used by
             the MTP baseline to spread control-plane load).
         solver_profile: Branch & bound search profile (``"fast"`` or
             ``"classic"``; see :mod:`repro.milp.branch_bound`).  Both
             are exact — the profile only changes how quickly optimality
-            is proven.
+            is proven.  :class:`HermesMilp` hands ``fast`` solves to
+            HiGHS instead.
     """
 
     def __init__(
@@ -383,9 +387,11 @@ class MilpFormulation:
 
         Args:
             warm_start_plan: An existing feasible plan (e.g. from the
-                greedy heuristic) encoded as the solver's first
-                incumbent; ignored when it uses switches outside the
-                candidate set or when explicit path variables are on.
+                greedy heuristic) encoded as the branch & bound's first
+                incumbent, or as HiGHS's bound on the objective;
+                ignored when it uses switches outside the candidate
+                set, when explicit path variables are on, or when the
+                model rejects its encoding (a shrunk capacity).
         """
         paths = paths or PathEnumerator(network)
         shrink = 1.0
@@ -399,10 +405,7 @@ class MilpFormulation:
                 if warm_start_plan is not None
                 else None
             )
-            solution = BranchBoundSolver(
-                time_limit_s=self.time_limit_s,
-                profile=self.solver_profile,
-            ).solve(handles.model, initial=initial)
+            solution = self._solver().solve(handles.model, initial=initial)
             self.last_solution = solution
             if not solution.status.has_solution:
                 raise DeploymentError(
@@ -415,6 +418,12 @@ class MilpFormulation:
                 shrink *= 0.85
         raise DeploymentError(
             f"no stage-feasible MILP deployment found: {last_error}"
+        )
+
+    def _solver(self):
+        """The solver :meth:`deploy` runs: the branch & bound."""
+        return BranchBoundSolver(
+            time_limit_s=self.time_limit_s, profile=self.solver_profile
         )
 
     def encode_plan(
@@ -529,10 +538,70 @@ class MilpFormulation:
 class HermesMilp(MilpFormulation):
     """The paper's "Optimal" configuration: P#1 solved exactly.
 
-    Identical to :class:`MilpFormulation` with the overhead objective;
-    exists as a named class so experiment code reads like the paper.
+    :class:`MilpFormulation` with the overhead objective.  Under the
+    default ``fast`` profile the model goes to HiGHS's branch-and-cut
+    (:class:`~repro.milp.highs.HighsSolver`), standing in for the
+    paper's Gurobi; ``classic`` keeps the Python branch & bound.
     """
 
     def __init__(self, **kwargs) -> None:
         kwargs.setdefault("objective", OBJECTIVE_OVERHEAD)
         super().__init__(**kwargs)
+
+    def _solver(self):
+        if self.solver_profile == PROFILE_FAST:
+            return HighsSolver(time_limit_s=self.time_limit_s)
+        return super()._solver()
+
+    def deploy_seeded(
+        self,
+        tdg: Tdg,
+        network: Network,
+        paths: PathEnumerator,
+    ) -> Tuple[DeploymentPlan, bool]:
+        """Solve P#1 seeded with the greedy plan, the way a
+        practitioner warm-starts Gurobi.
+
+        Algorithm 2 runs first under the same epsilon bounds.  Its plan
+        is the solve's warm start: the branch & bound's first
+        incumbent, or for HiGHS an upper bound on ``A_max``.  The
+        result is never worse than the greedy plan: when the solve
+        fails, or stops on its time limit at a worse incumbent, the
+        greedy plan is returned.
+
+        Returns:
+            ``(plan, timed_out)``; ``timed_out`` is True when the solve
+            stopped on its limit or failed and the greedy plan stood in.
+        """
+        heuristic = GreedyHeuristic(
+            epsilon1=self.epsilon1, epsilon2=self.epsilon2
+        )
+        try:
+            greedy_plan = heuristic.deploy(tdg, network, paths)
+        except DeploymentError:
+            greedy_plan = None
+        try:
+            plan = self.deploy(
+                tdg, network, paths, warm_start_plan=greedy_plan
+            )
+        except DeploymentError:
+            if greedy_plan is None:
+                raise
+            # No better incumbent within the budget: the best-known
+            # solution is the heuristic's.
+            return greedy_plan, True
+        solution = self.last_solution
+        timed_out = bool(
+            solution is not None
+            and solution.status
+            in (SolveStatus.FEASIBLE, SolveStatus.TIME_LIMIT)
+        )
+        if timed_out and greedy_plan is not None:
+            # A time-limited incumbent is not necessarily better than
+            # the greedy answer; report whichever has lower overhead.
+            if (
+                greedy_plan.max_metadata_bytes()
+                < plan.max_metadata_bytes()
+            ):
+                return greedy_plan, timed_out
+        return plan, timed_out

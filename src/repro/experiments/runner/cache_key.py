@@ -35,8 +35,11 @@ from repro.network.topology import Network
 #: record, so v2 entries lack the plan payload.  v4: records carry the
 #: plan-aware end-to-end metrics (``plan_fct_ratio`` /
 #: ``plan_goodput_ratio``), so v3 entries would deserialize with stale
-#: defaults.
-CACHE_KEY_VERSION = 4
+#: defaults.  v5: ``Optimal`` under the ``fast`` profile is solved by
+#: HiGHS, which picks other plans among A_max ties (and finds other
+#: incumbents on the clock) than the branch & bound whose records v4
+#: holds.
+CACHE_KEY_VERSION = 5
 
 
 def _canon(value: Any) -> Any:
