@@ -157,6 +157,11 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     print(
         f"per-packet byte overhead (A_max): {summary['a_max_bytes']} B"
     )
+    if doc["timing"].get("timed_out"):
+        print(
+            "not proven optimal: the solver stopped on its limit or "
+            "failed; this is the best plan found"
+        )
     print(f"placement time: {doc['timing']['solve_time_s'] * 1000:.1f} ms")
     for channel in summary["channels"]:
         print(

@@ -147,6 +147,7 @@ def deploy_op(params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         params=p,
         solve_time_s=result.solve_time_s,
         wall_s=wall_s,
+        timed_out=result.timed_out,
     )
 
 
@@ -156,8 +157,16 @@ def deploy_doc(
     params: Mapping[str, Any],
     solve_time_s: float,
     wall_s: float,
+    timed_out: bool = False,
 ) -> Dict[str, Any]:
-    """The deploy result document for an already-produced plan."""
+    """The deploy result document for an already-produced plan.
+
+    ``timing.timed_out`` is :attr:`HermesResult.timed_out`: the
+    optimal-mode solve stopped on its limit, so the plan is the best
+    found (possibly the greedy plan), not a proven optimum.  Like the
+    rest of ``timing`` it depends on the clock, so
+    :func:`deterministic_view` leaves it out.
+    """
     from repro.core import CoordinationAnalysis
 
     channels = CoordinationAnalysis(plan)
@@ -175,7 +184,11 @@ def deploy_doc(
                 for (u, v), channel in sorted(channels.channels.items())
             ],
         },
-        "timing": {"solve_time_s": solve_time_s, "wall_s": wall_s},
+        "timing": {
+            "solve_time_s": solve_time_s,
+            "wall_s": wall_s,
+            "timed_out": timed_out,
+        },
     }
     if params.get("verify"):
         from repro.core.verification import verify_dataflow

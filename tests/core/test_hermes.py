@@ -23,7 +23,28 @@ class TestHermes:
             six_programs, small_line
         )
         assert result.mode == MODE_OPTIMAL
+        assert result.timed_out is False
         result.plan.validate()
+
+    def test_optimal_reports_greedy_fallback(
+        self, six_programs, small_line, monkeypatch
+    ):
+        # The solve stops on its limit without an incumbent: the plan
+        # is the greedy one, and the result says it is not proven.
+        from repro.milp.highs import HighsSolver
+        from repro.milp.solution import Solution, SolveStatus
+
+        monkeypatch.setattr(
+            HighsSolver,
+            "solve",
+            lambda self, model, initial=None: Solution(
+                SolveStatus.TIME_LIMIT
+            ),
+        )
+        result = Hermes(mode=MODE_OPTIMAL).deploy(six_programs, small_line)
+        greedy = Hermes().deploy(six_programs, small_line)
+        assert result.timed_out is True
+        assert result.plan.fingerprint() == greedy.plan.fingerprint()
 
     def test_analyze_only(self, six_programs):
         tdg = Hermes().analyze(six_programs)

@@ -180,6 +180,42 @@ class TestMoreCommands:
         assert code == 0
         assert "A_max" in capsys.readouterr().out
 
+    def test_deploy_optimal_reports_time_limit(self, capsys, monkeypatch):
+        from repro.milp.highs import HighsSolver
+        from repro.milp.solution import Solution, SolveStatus
+        from repro.server.ops import deploy_op, deterministic_view
+
+        params = {
+            "workload": "sketches:3",
+            "topology": "linear:2",
+            "mode": "optimal",
+        }
+        proven = deploy_op(params)
+        assert proven["timing"]["timed_out"] is False
+        monkeypatch.setattr(
+            HighsSolver,
+            "solve",
+            lambda self, model, initial=None: Solution(
+                SolveStatus.TIME_LIMIT
+            ),
+        )
+        fallback = deploy_op(params)
+        assert fallback["timing"]["timed_out"] is True
+        assert "timed_out" not in str(deterministic_view("deploy", fallback))
+        code = main(
+            [
+                "deploy",
+                "--workload",
+                "sketches:3",
+                "--topology",
+                "linear:2",
+                "--mode",
+                "optimal",
+            ]
+        )
+        assert code == 0
+        assert "not proven optimal" in capsys.readouterr().out
+
     def test_deploy_with_replication_flag(self, capsys):
         code = main(
             [
