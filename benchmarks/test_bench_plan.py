@@ -3,8 +3,9 @@
 ``refine_plan`` screens candidate moves through a
 :class:`repro.plan.PlanBuilder` probe — apply the move incrementally,
 read ``A_max``, undo — and only rebuilds the candidates the probe
-proves improving.  This benchmark keeps a faithful copy of the legacy
-loop (full rebuild per candidate) and times both on the Exp#2 golden
+proves improving, reusing the stage layouts it memoizes per switch and
+MAT set.  This benchmark keeps a faithful copy of the legacy loop (full
+rebuild per candidate, no memo) and times both on the Exp#2 golden
 family, asserting the refined plans are metric-identical (the probe
 filter is exact, so the accepted-move sequences match).
 
@@ -109,8 +110,8 @@ def plan_records():
         network = topology_zoo_wan(topology_id)
         plan = GreedyHeuristic(refine=False).deploy(tdg, network)
         paths = PathEnumerator(network)
-        # Warm the shared path cache so neither variant pays Yen's
-        # algorithm inside its timed region.
+        # Warm the shared path cache so neither variant builds its
+        # shortest-path trees inside its timed region.
         legacy_refine_plan(plan, paths)
         legacy_s, legacy_plan = _time_best_of(
             lambda: legacy_refine_plan(plan, paths)

@@ -104,6 +104,10 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
         pair: {f.name for f, _off in channel.layout}
         for pair, channel in coordination.channels.items()
     }
+    # Channels by source switch: (destination, fields shipped).
+    outgoing: Dict[str, List[Tuple[str, Set[str]]]] = {}
+    for (u, v), names in channel_fields.items():
+        outgoing.setdefault(u, []).append((v, names))
     # Writers of each metadata field, with their host switch.
     writers: Dict[str, List[Tuple[str, str]]] = {}
     for mat in tdg.mats:
@@ -162,9 +166,8 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
                 ever_produced_on[switch] |= produced
                 # Ship per field: piggyback headers carry whatever
                 # values exist when the packet leaves this visit.
-                for (u, v), names in channel_fields.items():
-                    if u == switch:
-                        arrived_on[v] |= names & visit_fields
+                for v, names in outgoing.get(switch, ()):
+                    arrived_on[v] |= names & visit_fields
         if not progress:
             stuck = sorted(set(tdg.node_names) - executed)
             raise DataflowError(

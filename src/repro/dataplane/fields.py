@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 
 class FieldKind(enum.Enum):
@@ -86,7 +86,9 @@ class FieldSet:
     "sum of sizes of metadata fields" quantity from Algorithm 1.
     """
 
-    __slots__ = ("_fields",)
+    # ``_names`` and ``_metadata`` cache :attr:`names` and
+    # :meth:`metadata_only`; the fields never change after __init__.
+    __slots__ = ("_fields", "_names", "_metadata")
 
     def __init__(self, fields: Iterable[Field] = ()) -> None:
         seen: Dict[str, Field] = {}
@@ -99,6 +101,8 @@ class FieldSet:
                 )
             seen.setdefault(field.name, field)
         self._fields: Tuple[Field, ...] = tuple(seen.values())
+        self._names: Optional[FrozenSet[str]] = None
+        self._metadata: Optional[FieldSet] = None
 
     def __iter__(self) -> Iterator[Field]:
         return iter(self._fields)
@@ -127,7 +131,9 @@ class FieldSet:
 
     @property
     def names(self) -> FrozenSet[str]:
-        return frozenset(f.name for f in self._fields)
+        if self._names is None:
+            self._names = frozenset(f.name for f in self._fields)
+        return self._names
 
     def union(self, other: "FieldSet") -> "FieldSet":
         return FieldSet(tuple(self._fields) + tuple(other._fields))
@@ -138,7 +144,9 @@ class FieldSet:
 
     def metadata_only(self) -> "FieldSet":
         """The subset of fields that are pipeline metadata."""
-        return FieldSet(f for f in self._fields if f.is_metadata)
+        if self._metadata is None:
+            self._metadata = FieldSet(f for f in self._fields if f.is_metadata)
+        return self._metadata
 
     def metadata_bytes(self) -> int:
         """Total wire bytes needed to ship every metadata field here.

@@ -20,6 +20,7 @@ kept for the resource-consumption experiment (Exp#6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 from repro.dataplane.actions import Action
@@ -166,7 +167,9 @@ class Mat:
     def detailed_demand(self) -> ResourceDemand:
         return self._detailed
 
-    @property
+    # A MAT never changes after construction (nothing reassigns its
+    # actions or match fields), so its field sets are computed once.
+    @cached_property
     def modified_fields(self) -> FieldSet:
         """``F^a``: the union of fields written by the MAT's actions."""
         result = FieldSet()
@@ -174,7 +177,7 @@ class Mat:
             result = result.union(action.write_set)
         return result
 
-    @property
+    @cached_property
     def read_fields(self) -> FieldSet:
         """Fields consumed either as match key or as action inputs."""
         result = self.match_fields

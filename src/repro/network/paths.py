@@ -6,6 +6,8 @@ candidate paths together with their latencies.  Enumerating *all*
 simple paths is exponential; following standard practice we enumerate
 the ``k`` shortest loop-free paths by latency (Yen's algorithm on top
 of Dijkstra) and let ``k`` bound the decision-variable blow-up.
+Shortest-path queries, which the heuristics make for most pairs, read
+one cached Dijkstra tree per source instead.
 
 ``t_p(p)`` sums the switch latencies ``t_s`` and link latencies ``t_l``
 along the path, matching the paper's definition.
@@ -77,30 +79,38 @@ def path_latency_us(network: Network, switches: Sequence[str]) -> float:
 def _dijkstra(
     network: Network,
     source: str,
-    target: str,
+    target: Optional[str] = None,
     banned_nodes: Optional[Set[str]] = None,
     banned_links: Optional[Set[Tuple[str, str]]] = None,
-) -> Optional[List[str]]:
-    """Latency-shortest path avoiding banned nodes/links, or None."""
+) -> Dict[str, Optional[str]]:
+    """Latency-shortest-path tree from ``source`` avoiding banned
+    nodes/links: every settled switch mapped to its predecessor (the
+    source to None).
+
+    With a ``target`` the search stops once the target is settled.
+    Switches settle in the same heap order either way and a settled
+    switch's predecessor never changes, so the target's path is the
+    same in the full tree and in the early-stopped one.
+    """
     banned_nodes = banned_nodes or set()
     banned_links = banned_links or set()
     if source in banned_nodes or target in banned_nodes:
-        return None
+        return {}
     # Node cost model: entering a switch costs t_s, traversing a link
     # costs t_l; the source's t_s is added up front.
     dist: Dict[str, float] = {source: network.switch(source).latency_us}
-    prev: Dict[str, str] = {}
+    prev: Dict[str, Optional[str]] = {source: None}
     heap: List[Tuple[float, str]] = [(dist[source], source)]
-    visited: Set[str] = set()
+    settled: Dict[str, Optional[str]] = {}
     while heap:
         d, current = heapq.heappop(heap)
-        if current in visited:
+        if current in settled:
             continue
-        visited.add(current)
+        settled[current] = prev[current]
         if current == target:
             break
         for nxt in network.neighbors(current):
-            if nxt in banned_nodes or nxt in visited:
+            if nxt in banned_nodes or nxt in settled:
                 continue
             key = (current, nxt) if current <= nxt else (nxt, current)
             if key in banned_links:
@@ -111,18 +121,28 @@ def _dijkstra(
                 dist[nxt] = cand
                 prev[nxt] = current
                 heapq.heappush(heap, (cand, nxt))
-    if target not in visited:
+    return settled
+
+
+def _tree_path(
+    tree: Dict[str, Optional[str]], target: str
+) -> Optional[List[str]]:
+    """The switch sequence from a tree's source to ``target``, or None
+    if the search never settled ``target``."""
+    if target not in tree:
         return None
     order = [target]
-    while order[-1] != source:
-        order.append(prev[order[-1]])
+    parent = tree[target]
+    while parent is not None:
+        order.append(parent)
+        parent = tree[parent]
     order.reverse()
     return order
 
 
 def shortest_path(network: Network, source: str, target: str) -> Optional[Path]:
     """The latency-shortest path between two switches, or None."""
-    nodes = _dijkstra(network, source, target)
+    nodes = _tree_path(_dijkstra(network, source, target), target)
     if nodes is None:
         return None
     return Path(tuple(nodes), path_latency_us(network, nodes))
@@ -152,8 +172,11 @@ def k_shortest_paths(
                     u, v = path.switches[i], path.switches[i + 1]
                     banned_links.add((u, v) if u <= v else (v, u))
             banned_nodes = set(root[:-1])
-            spur = _dijkstra(
-                network, spur_node, target, banned_nodes, banned_links
+            spur = _tree_path(
+                _dijkstra(
+                    network, spur_node, target, banned_nodes, banned_links
+                ),
+                target,
             )
             if spur is None:
                 continue
@@ -174,6 +197,11 @@ def k_shortest_paths(
 class PathEnumerator:
     """Cached per-pair path enumeration.
 
+    :meth:`paths` runs Yen's algorithm once per ordered pair.
+    :meth:`shortest` and :meth:`reachable` read one full Dijkstra tree
+    per source instead, which gives every target the path
+    ``paths(u, v)[0]`` would (see :func:`_dijkstra`).
+
     Args:
         network: The substrate network.
         k: Maximum candidate paths per ordered switch pair.
@@ -185,6 +213,8 @@ class PathEnumerator:
         self.network = network
         self.k = k
         self._cache: Dict[Tuple[str, str], List[Path]] = {}
+        self._trees: Dict[str, Dict[str, Optional[str]]] = {}
+        self._shortest: Dict[Tuple[str, str], Optional[Path]] = {}
 
     def paths(self, source: str, target: str) -> List[Path]:
         """``P(u, v)`` — candidate paths, shortest first.
@@ -207,8 +237,21 @@ class PathEnumerator:
         return self._cache[key]
 
     def shortest(self, source: str, target: str) -> Optional[Path]:
-        paths = self.paths(source, target)
-        return paths[0] if paths else None
+        """``paths(source, target)[0]``, or None if unreachable."""
+        key = (source, target)
+        if key in self._shortest:
+            return self._shortest[key]
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = self._trees[source] = _dijkstra(self.network, source)
+        nodes = _tree_path(tree, target)
+        path = (
+            None
+            if nodes is None
+            else Path(tuple(nodes), path_latency_us(self.network, nodes))
+        )
+        self._shortest[key] = path
+        return path
 
     def reachable(self, source: str, target: str) -> bool:
-        return bool(self.paths(source, target))
+        return self.shortest(source, target) is not None

@@ -7,13 +7,18 @@ equals what the rebuilt plan would report, so the accepted-move
 sequence — and therefore the final plan — is identical to the
 historical implementation that rebuilt every candidate.  This module
 keeps a faithful copy of the legacy loop and checks plan equality on
-representative workloads.
+representative workloads.  The copy calls ``_rebuild`` without the
+stage-layout memo ``refine_plan`` passes, so it checks the memo too.
 """
+
+import random
 
 import pytest
 
+from repro.cli import parse_workload
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.refine import _rebuild, refine_plan
+from repro.network.catalog import resolve
 from repro.network.generators import linear_topology
 from repro.network.paths import PathEnumerator
 from repro.network.topozoo import topology_zoo_wan
@@ -104,6 +109,14 @@ WORKLOADS = [
         lambda: (real_programs(10), topology_zoo_wan(5)),
         id="real10-zoo5",
     ),
+    # Exp#5 scale: the repo benchmark's heuristic-deploy shape.
+    pytest.param(
+        lambda: (
+            parse_workload("real:10+synthetic:10"),
+            resolve("wan:72:88:11"),
+        ),
+        id="real10-synthetic10-wan72",
+    ),
 ]
 
 
@@ -118,6 +131,32 @@ def test_refine_matches_legacy_rebuild_search(make):
     assert set(fast.routing) == set(legacy.routing)
     assert fast.max_metadata_bytes() == legacy.max_metadata_bytes()
     assert plan_fingerprint(fast) == plan_fingerprint(legacy)
+
+
+def test_memoized_rebuild_matches_fresh_rebuild():
+    """The stage-layout memo is exact.  Over a random walk of single-MAT
+    moves, which brings switches back to MAT sets of equal size but
+    other members, a rebuild sharing one memo equals a rebuild without
+    it, infeasible host maps included."""
+    network = linear_topology(8, num_stages=4, stage_capacity=1.0)
+    plan = unrefined_plan(real_programs(9), network)
+    paths = PathEnumerator(network)
+    layouts = {}
+    rng = random.Random(3)
+    hosts = {name: p.switch for name, p in plan.placements.items()}
+    outcomes = set()
+    for _ in range(60):
+        trial = dict(hosts)
+        trial[rng.choice(sorted(trial))] = rng.choice(network.switch_names)
+        fresh = _rebuild(plan, trial, paths)
+        memo = _rebuild(plan, trial, paths, layouts)
+        outcomes.add(fresh is None)
+        if fresh is None:
+            assert memo is None
+            continue
+        assert plan_fingerprint(memo) == plan_fingerprint(fresh)
+        hosts = trial
+    assert outcomes == {True, False}
 
 
 def test_refine_never_worsens_amax():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.catalog import resolve
 from repro.network.generators import linear_topology
 from repro.network.paths import (
     Path,
@@ -114,3 +115,52 @@ class TestPathEnumerator:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             PathEnumerator(diamond(), k=0)
+
+
+def diamond_with_island():
+    net = diamond()
+    net.add_switch(Switch("island"))
+    return net
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # fattree:4 has many equal-latency ties between paths.
+        pytest.param(lambda: resolve("fattree:4"), id="fattree4"),
+        pytest.param(lambda: resolve("linear:6"), id="linear6"),
+        pytest.param(lambda: resolve("wan:20:30:7"), id="wan20"),
+        pytest.param(lambda: resolve("wan:72:88:5"), id="wan72"),
+        pytest.param(lambda: resolve("zoo:1"), id="zoo1"),
+        pytest.param(diamond_with_island, id="diamond-island"),
+    ],
+)
+def test_shortest_tree_matches_yen_first_path(make):
+    """``shortest`` reads a full Dijkstra tree per source; it must give
+    every ordered pair the first path of Yen's list, bit for bit.
+
+    ``PathEnumerator(net, k=3).paths(u, v)`` is
+    ``k_shortest_paths(net, u, v, 3)`` (the trivial path for u == v),
+    so one Yen's run per pair serves as the reference.  Pairs
+    alternate which of ``shortest`` and ``paths`` is asked first, and
+    ``reachable`` is asked first on a second enumerator.
+    """
+    net = make()
+    names = net.switch_names
+    enum = PathEnumerator(net, k=3)
+    fresh = PathEnumerator(net, k=3)
+    for index, (u, v) in enumerate((u, v) for u in names for v in names):
+        reachable = fresh.reachable(u, v)
+        if index % 2:
+            path = enum.shortest(u, v)
+            yen = enum.paths(u, v)
+        else:
+            yen = enum.paths(u, v)
+            path = enum.shortest(u, v)
+        assert reachable == bool(yen), (u, v)
+        if not yen:
+            assert path is None, (u, v)
+            continue
+        assert path == yen[0], (u, v)
+        assert repr(path.latency_us) == repr(yen[0].latency_us), (u, v)
+        assert fresh.shortest(u, v) == path, (u, v)
