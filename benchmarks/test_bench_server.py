@@ -2,8 +2,9 @@
 
 Measures the point of ``repro serve``: a resident control plane keeps
 parsed workloads, plan history and warm-start state alive, so a repeat
-deploy costs an incremental rebase (sub-10ms) instead of a cold
-interpreter start + parse + solve (seconds).  Three measurements on
+deploy costs an incremental rebase (milliseconds) instead of a cold
+interpreter start + parse + solve (about 0.3 s for a heuristic deploy,
+which loads neither numpy nor scipy).  Three measurements on
 the wan16/real10 instance:
 
 * **repeat-deploy latency** — per-request wall time of warm deploys,

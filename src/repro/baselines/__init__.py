@@ -29,36 +29,38 @@ Heuristic (second class):
 None of the baselines optimizes the per-packet byte overhead — that is
 the paper's point — so all of them are expected to produce larger
 ``A_max`` than Hermes.
+
+The frameworks and :data:`~repro.baselines.frameworks.ALL_FRAMEWORKS`
+are imported on first access (:mod:`repro.lazy`): the heuristic deploy
+path imports :mod:`repro.baselines.base`, which must not load the ILP
+frameworks' solver stack.
 """
 
+from repro.lazy import lazy_exports
 from repro.baselines.base import (
     DeploymentFramework,
     FrameworkResult,
     build_switch_chain,
     schedule_on_chain,
 )
-from repro.baselines.min_stage import MinStage
-from repro.baselines.sonata import Sonata
-from repro.baselines.ffl import Ffl
-from repro.baselines.ffls import Ffls
-from repro.baselines.speed import Speed
-from repro.baselines.mtp import Mtp
-from repro.baselines.flightplan import Flightplan
-from repro.baselines.p4all import P4All
-from repro.baselines.hermes_adapters import HermesHeuristic, HermesOptimal
 
-#: Frameworks in the order the paper's figures list them.
-ALL_FRAMEWORKS = (
-    MinStage,
-    Sonata,
-    Speed,
-    Mtp,
-    Flightplan,
-    P4All,
-    Ffl,
-    Ffls,
-    HermesHeuristic,
-    HermesOptimal,
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "repro.baselines.frameworks": ("ALL_FRAMEWORKS",),
+        "repro.baselines.min_stage": ("MinStage",),
+        "repro.baselines.sonata": ("Sonata",),
+        "repro.baselines.ffl": ("Ffl",),
+        "repro.baselines.ffls": ("Ffls",),
+        "repro.baselines.speed": ("Speed",),
+        "repro.baselines.mtp": ("Mtp",),
+        "repro.baselines.flightplan": ("Flightplan",),
+        "repro.baselines.p4all": ("P4All",),
+        "repro.baselines.hermes_adapters": (
+            "HermesHeuristic",
+            "HermesOptimal",
+        ),
+    },
 )
 
 __all__ = [

@@ -17,7 +17,7 @@ from repro.core.deployment import DeploymentPlan
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg

@@ -16,7 +16,7 @@ from repro.baselines.speed import Speed
 from repro.core.deployment import DeploymentPlan
 from repro.core.formulation import MilpFormulation
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg

@@ -21,7 +21,7 @@ from repro.baselines.base import (
 from repro.core.deployment import DeploymentError, DeploymentPlan
 from repro.core.formulation import OBJECTIVE_LATENCY, MilpFormulation
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network

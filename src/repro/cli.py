@@ -781,7 +781,7 @@ def _maybe_export(args: argparse.Namespace, rows: list) -> None:
 
 
 def _add_solver_profile_flag(p: argparse.ArgumentParser) -> None:
-    from repro.milp.branch_bound import DEFAULT_PROFILE, SOLVER_PROFILES
+    from repro.milp.profiles import DEFAULT_PROFILE, SOLVER_PROFILES
 
     p.add_argument(
         "--solver-profile",

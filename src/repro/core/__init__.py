@@ -13,8 +13,12 @@ The pipeline mirrors Figure 3:
    which the :class:`Backend` lowers to per-switch configurations.
 
 :class:`Hermes` is the facade tying the steps together.
+
+The MILP formulations are imported on first access (:mod:`repro.lazy`),
+so a heuristic deploy never loads the solver stack.
 """
 
+from repro.lazy import lazy_exports
 from repro.core.deployment import (
     DeploymentError,
     DeploymentPlan,
@@ -22,9 +26,6 @@ from repro.core.deployment import (
 )
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.delta import DeltaFormulation, select_delta_candidates
-from repro.core.formulation import HermesMilp, MilpFormulation
-from repro.core.formulation_stagewise import StagewiseMilp
 from repro.core.replication import replicate_cheap_hubs, replication_cost
 from repro.core.heuristic import GreedyHeuristic, split_tdg
 from repro.core.coordination import CoordinationAnalysis, MetadataChannel
@@ -33,6 +34,15 @@ from repro.core.verification import DataflowError, DataflowReport, verify_datafl
 from repro.core.explain import OverheadReport, explain_overhead
 from repro.core.refine import refine_plan
 from repro.core.hermes import Hermes, HermesResult
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.delta": ("DeltaFormulation", "select_delta_candidates"),
+        "repro.core.formulation": ("HermesMilp", "MilpFormulation"),
+        "repro.core.formulation_stagewise": ("StagewiseMilp",),
+    },
+)
 
 __all__ = [
     "Backend",

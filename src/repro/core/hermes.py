@@ -21,10 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.analyzer import ProgramAnalyzer
 from repro.core.deployment import DeploymentPlan
-from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -162,6 +161,8 @@ class Hermes:
             )
             plan = solver.deploy(tdg, network, paths)
         else:
+            from repro.core.formulation import HermesMilp
+
             formulation = HermesMilp(
                 epsilon1=self.epsilon1,
                 epsilon2=self.epsilon2,

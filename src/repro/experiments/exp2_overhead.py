@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.baselines.base import DeploymentFramework
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.reporting import Table, pivot_records
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRunner

@@ -20,7 +20,7 @@ from repro.baselines.base import DeploymentFramework
 from repro.experiments.exp2_overhead import workload, workload_spec
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.reporting import Table, pivot_records
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRunner

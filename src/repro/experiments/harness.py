@@ -27,7 +27,7 @@ from repro.baselines import (
 )
 from repro.baselines.base import DeploymentFramework, FrameworkResult
 from repro.dataplane.program import Program
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError

@@ -4,20 +4,20 @@ Entries are keyed by the SHA-256 fingerprint from
 :mod:`repro.experiments.runner.cache_key` and stored as small JSON
 files (``<root>/<k[:2]>/<key>.json``), so repeated sweep points and
 re-runs of an experiment return :class:`DeploymentRecord` objects
-without re-solving anything.  Writes are atomic (temp file +
-``os.replace``), making the cache safe to share between concurrent
-runs; corrupt or version-skewed entries read as misses.
+without re-solving anything.  Writes are atomic
+(:func:`repro.atomic.atomic_write`), making the cache safe to share
+between concurrent runs; corrupt or version-skewed entries read as
+misses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
+from repro.atomic import atomic_write
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.runner.cache_key import CACHE_KEY_VERSION
 
@@ -82,19 +82,8 @@ class ResultCache:
             "record": dataclasses.asdict(record),
             "plan": plan,
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as fh:
+            json.dump(payload, fh, indent=1)
         return path
 
     def __len__(self) -> int:

@@ -232,11 +232,7 @@ class ExperimentRunner:
                 plan=origin.plan,
             )
 
-        if self.cache is not None:
-            for i in pending:
-                res = results[i]
-                if res is not None and keys[i] is not None:
-                    self.cache.put(keys[i], res.record, plan=res.plan)
+        self._cache_results(pending, results, keys)
 
         final = [res for res in results if res is not None]
         assert len(final) == len(cells)
@@ -315,11 +311,7 @@ class ExperimentRunner:
     ) -> RunnerInterrupted:
         """Persist, journal and package what completed before an
         interrupt; the returned exception carries the partial results."""
-        if self.cache is not None:
-            for i in pending:
-                res = results[i]
-                if res is not None and keys[i] is not None:
-                    self.cache.put(keys[i], res.record, plan=res.plan)
+        self._cache_results(pending, results, keys)
         done = [
             (res, keys[i])
             for i, res in enumerate(results)
@@ -337,6 +329,23 @@ class ExperimentRunner:
                     }
                 )
         return RunnerInterrupted(partial, total=len(cells))
+
+    def _cache_results(
+        self,
+        pending: Sequence[int],
+        results: Sequence[Optional[CellResult]],
+        keys: Sequence[Optional[str]],
+    ) -> None:
+        """Store the executed cells' results, except those a solver's
+        wall-clock limit cut short: such a record depends on the
+        machine's load, not only on the content its key names."""
+        if self.cache is None:
+            return
+        for i in pending:
+            res = results[i]
+            if res is None or keys[i] is None or res.record.timed_out:
+                continue
+            self.cache.put(keys[i], res.record, plan=res.plan)
 
     def _journal_results(
         self,

@@ -24,8 +24,13 @@ trusted differential baseline.  Both are exact and return identical
 optimal objectives.  Under ``fast``, P#1's overhead objective
 (``HermesMilp``) is solved by :class:`HighsSolver` instead, with a
 warm start turned into an objective cutoff (:mod:`repro.milp.highs`).
+
+The modeling layer and the profile names (:mod:`repro.milp.profiles`)
+load without numpy or scipy; the solvers, which need both, are
+imported on first access (:mod:`repro.lazy`).
 """
 
+from repro.lazy import lazy_exports
 from repro.milp.expr import LinExpr
 from repro.milp.model import Constraint, Model, Sense, Var, VarType
 from repro.milp.presolve import (
@@ -36,14 +41,16 @@ from repro.milp.presolve import (
     model_signature,
     presolve,
 )
+from repro.milp.profiles import DEFAULT_PROFILE, SOLVER_PROFILES
 from repro.milp.solution import Solution, SolveStatus
-from repro.milp.branch_bound import (
-    DEFAULT_PROFILE,
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-    solve,
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "repro.milp.branch_bound": ("BranchBoundSolver", "solve"),
+        "repro.milp.highs": ("HighsSolver",),
+    },
 )
-from repro.milp.highs import HighsSolver
 
 __all__ = [
     "BranchBoundSolver",

@@ -49,6 +49,12 @@ from typing import Union
 from repro.milp import heuristics as _heuristics
 from repro.milp.model import Model, Var
 from repro.milp.presolve import PresolveCache, PresolveStatus, presolve
+from repro.milp.profiles import (
+    DEFAULT_PROFILE,
+    PROFILE_CLASSIC,
+    PROFILE_FAST,
+    SOLVER_PROFILES,
+)
 from repro.milp.solution import Solution, SolveStatus
 from repro.telemetry import emit
 
@@ -60,12 +66,6 @@ WarmStart = Union[Dict[Var, float], Solution]
 
 _INT_TOL = 1e-6
 _OBJ_TOL = 1e-9
-
-#: Search profiles accepted by :class:`BranchBoundSolver`.
-PROFILE_FAST = "fast"
-PROFILE_CLASSIC = "classic"
-SOLVER_PROFILES = (PROFILE_FAST, PROFILE_CLASSIC)
-DEFAULT_PROFILE = PROFILE_FAST
 
 
 def relative_gap(incumbent: float, bound: float) -> Optional[float]:

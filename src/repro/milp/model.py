@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-import numpy as np
-from scipy import sparse
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.milp.expr import LinExpr, Number
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+    from scipy import sparse
 
 
 class VarType(enum.Enum):
@@ -247,6 +256,11 @@ class Model:
         dense storage.  A maximization objective is negated; callers
         must negate the optimum back.  GE rows are flipped into LE rows.
         """
+        # Imported here, by the solvers' one call per solve, so that
+        # building a model never loads numpy or scipy.
+        import numpy as np
+        from scipy import sparse
+
         n = len(self.variables)
         c = np.zeros(n)
         for var, coef in self.objective.coefs.items():

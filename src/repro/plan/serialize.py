@@ -28,6 +28,7 @@ import hashlib
 import json
 from typing import Any, Dict, Mapping
 
+from repro.atomic import atomic_write
 from repro.dataplane.actions import Action, ActionPrimitive
 from repro.dataplane.fields import Field, FieldKind
 from repro.dataplane.mat import Mat, ResourceDemand
@@ -336,8 +337,9 @@ def plan_fingerprint(plan: DeploymentPlan) -> str:
 
 
 def write_plan(plan: DeploymentPlan, path: str) -> None:
-    """Write the canonical plan document to ``path`` (pretty-printed)."""
-    with open(path, "w") as fh:
+    """Write the canonical plan document to ``path`` (pretty-printed,
+    atomically)."""
+    with atomic_write(path) as fh:
         json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.atomic import atomic_write
 from repro.network.topology import Network
 
 #: Schema identifier embedded in every scenario document.
@@ -191,8 +192,9 @@ class Scenario:
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
-    """Write the scenario document to ``path`` (pretty-printed)."""
-    with open(path, "w") as fh:
+    """Write the scenario document to ``path`` (pretty-printed,
+    atomically)."""
+    with atomic_write(path) as fh:
         json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

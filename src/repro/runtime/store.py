@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.atomic import atomic_write
 from repro.plan.artifact import DeploymentPlan
 from repro.plan.diff import PlanDiff, diff_plans
 from repro.plan.serialize import canonical_dumps, read_plan, write_plan
@@ -156,8 +157,8 @@ class PlanStore:
         """Persist every version's full plan document plus the summary.
 
         Writes ``plan-<version>-<fp12>.json`` per version and
-        ``history.json`` with the :meth:`to_dict` summary; returns the
-        written paths.
+        ``history.json`` with the :meth:`to_dict` summary, each file
+        atomically; returns the written paths.
         """
         os.makedirs(directory, exist_ok=True)
         paths: List[str] = []
@@ -168,7 +169,7 @@ class PlanStore:
             write_plan(v.plan, path)
             paths.append(path)
         history = os.path.join(directory, "history.json")
-        with open(history, "w") as fh:
+        with atomic_write(history) as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         paths.append(history)

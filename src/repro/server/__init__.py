@@ -19,34 +19,46 @@ Layout::
     service.py    the asyncio daemon (dispatch, pooled cold solves,
                   telemetry streaming)
     client.py     blocking client for --connect mode, scripts, tests
+
+Every export is imported on first access (:mod:`repro.lazy`), so
+``import repro.server.ops``, which the CLI and a heuristic deploy run,
+loads neither the daemon (asyncio, the warm-replan solver stack) nor
+the client and its protocol codec.
 """
 
-from repro.server.client import ReproClient, ServerError, parse_address
-from repro.server.ops import (
-    CHURN_DEFAULTS,
-    DEPLOY_DEFAULTS,
-    OP_FUNCTIONS,
-    PLAN_DIFF_DEFAULTS,
-    SIMULATE_DEFAULTS,
-    OpError,
-    churn_doc,
-    churn_op,
-    deploy_op,
-    deterministic_view,
-    plan_diff_op,
-    resolve_params,
-    run_churn,
-    simulate_op,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "repro.server.client": ("ReproClient", "ServerError", "parse_address"),
+        "repro.server.ops": (
+            "CHURN_DEFAULTS",
+            "DEPLOY_DEFAULTS",
+            "OP_FUNCTIONS",
+            "PLAN_DIFF_DEFAULTS",
+            "SIMULATE_DEFAULTS",
+            "OpError",
+            "churn_doc",
+            "churn_op",
+            "deploy_op",
+            "deterministic_view",
+            "plan_diff_op",
+            "resolve_params",
+            "run_churn",
+            "simulate_op",
+        ),
+        "repro.server.protocol": (
+            "ERROR_CODES",
+            "MAX_FRAME_BYTES",
+            "OPS",
+            "PROTOCOL",
+            "ProtocolError",
+        ),
+        "repro.server.service": ("ReproServer", "serve_until_complete"),
+        "repro.server.session": ("Session",),
+    },
 )
-from repro.server.protocol import (
-    ERROR_CODES,
-    MAX_FRAME_BYTES,
-    OPS,
-    PROTOCOL,
-    ProtocolError,
-)
-from repro.server.service import ReproServer, serve_until_complete
-from repro.server.session import Session
 
 __all__ = [
     "CHURN_DEFAULTS",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.milp.branch_bound import DEFAULT_PROFILE
+from repro.milp.profiles import DEFAULT_PROFILE
 
 #: Per-op parameter defaults; also the schema — unknown keys are
 #: rejected so a typo'd param fails loudly instead of silently using a

@@ -34,6 +34,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.atomic import atomic_write
 from repro.plan.serialize import canonical_dumps, plan_from_dict
 from repro.runtime import (
     IncrementalEscalation,
@@ -235,7 +236,7 @@ class Session:
             "cold_solves": self.cold_solves,
         }
         path = os.path.join(self.state_dir, _SESSION_FILE)
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
