@@ -16,6 +16,16 @@ round trip.  :func:`canonical_dumps` fixes separators and key order so
 equal plans serialize to equal byte strings, which is what
 :func:`plan_fingerprint` hashes and what the result cache stores.
 
+:func:`plan_fingerprint` never builds that byte string whole: it hashes
+the document section by section in sorted key order, and the TDG
+section, most of a document, is the text memoized on the
+:class:`~repro.tdg.graph.Tdg` (:meth:`~repro.tdg.graph.Tdg.memoized`).
+Plans that share a graph (rebases, splices, builders on an existing
+TDG) therefore serialize only their placements, routing, network and
+metrics.  MATs and edges are immutable and every TDG mutator clears the
+memo, so the digest always equals the hash of
+``canonical_dumps(plan_to_dict(plan))``.
+
 The ``schema``/``version`` header gates compatibility: documents from
 a different major schema raise :class:`PlanSchemaError` instead of
 deserializing garbage.  Bump :data:`SCHEMA_VERSION` whenever the
@@ -171,6 +181,12 @@ def _tdg_to_dict(tdg: Tdg) -> Dict[str, Any]:
     }
 
 
+def _tdg_section(tdg: Tdg) -> str:
+    """The TDG section's canonical text; memoized per graph by
+    :func:`plan_fingerprint`."""
+    return canonical_dumps(_tdg_to_dict(tdg))
+
+
 def _tdg_from_dict(data: Mapping[str, Any]) -> Tdg:
     tdg = Tdg(data["name"])
     for node in data["nodes"]:
@@ -243,6 +259,16 @@ def _network_from_dict(data: Mapping[str, Any]) -> Network:
 # ----------------------------------------------------------------------
 def plan_to_dict(plan: DeploymentPlan) -> Dict[str, Any]:
     """The canonical JSON-serializable document for a plan."""
+    return {
+        "schema": SCHEMA,
+        "version": SCHEMA_VERSION,
+        "tdg": _tdg_to_dict(plan.tdg),
+        **_plan_sections(plan),
+    }
+
+
+def _plan_sections(plan: DeploymentPlan) -> Dict[str, Any]:
+    """The document's sections that describe the plan, not its TDG."""
     placements = [
         {
             "mat": p.mat_name,
@@ -268,9 +294,6 @@ def plan_to_dict(plan: DeploymentPlan) -> Dict[str, Any]:
         # still reports the missing pair on reload.
         e2e = None
     return {
-        "schema": SCHEMA,
-        "version": SCHEMA_VERSION,
-        "tdg": _tdg_to_dict(plan.tdg),
         "network": _network_to_dict(plan.network),
         "placements": placements,
         "routing": routing,
@@ -331,9 +354,27 @@ def canonical_dumps(document: Mapping[str, Any]) -> str:
 
 
 def plan_fingerprint(plan: DeploymentPlan) -> str:
-    """SHA-256 hex digest of the plan's canonical serialization."""
-    blob = canonical_dumps(plan_to_dict(plan))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the plan's canonical serialization.
+
+    The digest of ``canonical_dumps(plan_to_dict(plan))``, fed to the
+    hash one section at a time in sorted key order, with the TDG
+    section memoized on ``plan.tdg``.
+    """
+    sections = {
+        "schema": SCHEMA,
+        "version": SCHEMA_VERSION,
+        **_plan_sections(plan),
+    }
+    texts = {key: canonical_dumps(value) for key, value in sections.items()}
+    texts["tdg"] = plan.tdg.memoized(_tdg_section)
+    digest = hashlib.sha256()
+    opener = "{"
+    for key in sorted(texts):
+        digest.update(f"{opener}{json.dumps(key)}:".encode("utf-8"))
+        digest.update(texts[key].encode("utf-8"))
+        opener = ","
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 def write_plan(plan: DeploymentPlan, path: str) -> None:

@@ -61,7 +61,7 @@ from repro.core.hermes import Hermes
 from repro.dataplane.program import Program
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError, DeploymentPlan
-from repro.plan.diff import PlanDiff, diff_plans
+from repro.plan.diff import PlanDiff
 from repro.runtime.incremental import (
     IncrementalEscalation,
     IncrementalReplanner,
@@ -415,7 +415,10 @@ class Reconciler:
             if rung == RUNG_INCREMENTAL
             else ("patch" if used_patch else "replan")
         ))
-        self._fill_outcome(outcome, old_plan, new_plan, moves, rebind)
+        # The store diffed (old_plan, new_plan) on append.
+        self._fill_outcome(
+            outcome, old_plan, new_plan, moves, rebind, store.latest_diff
+        )
         outcome.fingerprint_after = version.fingerprint
         emit(
             "runtime.rebind",
@@ -446,6 +449,7 @@ class Reconciler:
         new_plan: DeploymentPlan,
         moves: List[MatMove],
         rebind: RebindReport,
+        plan_diff: PlanDiff,
     ) -> None:
         outcome.forced_moves = sum(1 for m in moves if m.forced)
         outcome.optimization_moves = len(moves) - outcome.forced_moves
@@ -454,7 +458,7 @@ class Reconciler:
         outcome.mats_added = len(rebind.added)
         outcome.new_amax_bytes = new_plan.max_metadata_bytes()
         outcome.transient_amax_bytes = transient_amax(old_plan, new_plan)
-        outcome.plan_diff = diff_plans(old_plan, new_plan)
+        outcome.plan_diff = plan_diff
 
     # ------------------------------------------------------------------
     def _call_deploy(

@@ -23,6 +23,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dataplane.program import Program
+from repro.network.switch import Switch
 from repro.network.topology import Network
 from repro.runtime.scenario import EventKind, NetworkEvent, ScenarioError
 from repro.workloads.synthetic import synthetic_program
@@ -113,11 +114,7 @@ class WorldState:
         for switch in self.base.switches:
             if switch.name in self.failed:
                 continue
-            programmable = self.programmable_overrides.get(
-                switch.name, switch.programmable
-            )
-            if switch.name in self.drained:
-                programmable = False
+            programmable = self._programmable(switch)
             if programmable != switch.programmable:
                 switch = replace(switch, programmable=programmable)
             net.add_switch(switch)
@@ -130,9 +127,22 @@ class WorldState:
             net.add_link(link)
         return net
 
+    def _programmable(self, switch: Switch) -> bool:
+        """Whether a live base switch has a pipeline under the overlays."""
+        if switch.name in self.drained:
+            return False
+        return self.programmable_overrides.get(
+            switch.name, switch.programmable
+        )
+
     def hostable_switches(self) -> List[str]:
-        """Names of switches that can currently host MATs."""
-        return self.current_network().programmable_names()
+        """Names of switches that can currently host MATs, in the order
+        :meth:`current_network` lists them, without building it."""
+        return [
+            switch.name
+            for switch in self.base.switches
+            if switch.name not in self.failed and self._programmable(switch)
+        ]
 
     def vanished_hosts(self, occupied: Sequence[str]) -> Set[str]:
         """Which of ``occupied`` can no longer host MATs.

@@ -60,6 +60,8 @@ class PlanStore:
         self._versions: List[PlanVersion] = []
         self._by_fingerprint: Dict[str, DeploymentPlan] = {}
         self._diffs: List[PlanDiff] = []
+        #: Directory -> how many leading versions write_dir put there.
+        self._written: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -113,6 +115,12 @@ class PlanStore:
         """Structural deltas between consecutive versions."""
         return list(self._diffs)
 
+    @property
+    def latest_diff(self) -> Optional[PlanDiff]:
+        """The delta from the previous version to the latest one; None
+        until the store holds two versions."""
+        return self._diffs[-1] if self._diffs else None
+
     def end_to_end_diff(self) -> PlanDiff:
         """The delta from the first to the latest version."""
         if not self._versions:
@@ -158,15 +166,25 @@ class PlanStore:
 
         Writes ``plan-<version>-<fp12>.json`` per version and
         ``history.json`` with the :meth:`to_dict` summary, each file
-        atomically; returns the written paths.
+        atomically; returns every version's path, then the summary's.
+
+        Versions never change, so a plan file this store has already
+        written to ``directory`` is not written again: a store persisted
+        after each append writes one plan file per call.  A store read
+        back with :meth:`read_dir` writes every plan once more on its
+        first call.  ``history.json`` is always rewritten.
         """
         os.makedirs(directory, exist_ok=True)
+        key = os.path.abspath(directory)
+        written = self._written.get(key, 0)
         paths: List[str] = []
         for v in self._versions:
             path = os.path.join(
                 directory, f"plan-{v.version:03d}-{v.fingerprint[:12]}.json"
             )
-            write_plan(v.plan, path)
+            if v.version >= written:
+                write_plan(v.plan, path)
+                self._written[key] = v.version + 1
             paths.append(path)
         history = os.path.join(directory, "history.json")
         with atomic_write(history) as fh:

@@ -118,18 +118,20 @@ class Session:
         """
         p = resolve_params(params, DEPLOY_DEFAULTS)
         key = solve_key(p)
-        doc = None
-        source = "cold"
+        warm = None
         if self._current_plan is not None and key == self._solve_key:
             warm = self._warm_deploy(p)
-            if warm is not None:
-                doc, source = warm
-        if doc is None:
-            doc = (run_cold or deploy_op)(p)
-            self.cold_solves += 1
-        else:
+        if warm is not None:
+            doc, plan, source = warm
             self.warm_hits += 1
-        plan = plan_from_dict(doc["plan"])
+        else:
+            # The cold document may come back from the process pool,
+            # so its plan is parsed; a warm plan is kept as built, and
+            # with it its TDG (and the TDG's serialization memo).
+            doc = (run_cold or deploy_op)(p)
+            plan = plan_from_dict(doc["plan"])
+            source = "cold"
+            self.cold_solves += 1
         reason = (
             "initial"
             if not len(self.store)
@@ -159,8 +161,9 @@ class Session:
     def _warm_deploy(self, p: Dict[str, Any]):
         """Rebase the current plan onto freshly parsed inputs.
 
-        Returns ``(doc, source)`` or None when the replanner escalates
-        (the caller then takes the cold path — same result, slower).
+        Returns ``(doc, plan, source)`` or None when the replanner
+        escalates (the caller then takes the cold path — same result,
+        slower).
         """
         from repro.cli import parse_topology, parse_workload
 
@@ -189,7 +192,7 @@ class Session:
             solve_time_s=wall_s,
             wall_s=wall_s,
         )
-        return doc, f"warm:{mode}"
+        return doc, plan, f"warm:{mode}"
 
     def plan_diff(
         self, params: Optional[Mapping[str, Any]] = None
@@ -223,7 +226,11 @@ class Session:
     # Persistence / recovery
     # ------------------------------------------------------------------
     def _persist(self, resolved_params: Dict[str, Any]) -> None:
-        """Write the history and the solve params to ``state_dir``."""
+        """Write the history and the solve params to ``state_dir``.
+
+        Only the plan versions this session has not written yet get a
+        file, so a deploy writes one plan document, not the history.
+        """
         self.store.write_dir(self.state_dir)
         meta = {
             "schema": "repro.session/v1",

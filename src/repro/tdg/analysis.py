@@ -51,7 +51,9 @@ def annotate_metadata_sizes(tdg: Tdg) -> Tdg:
     for edge in tdg.edges:
         upstream = tdg.node(edge.upstream)
         downstream = tdg.node(edge.downstream)
-        edge.metadata_bytes = edge_metadata_bytes(
-            upstream, downstream, edge.dep_type
+        tdg.set_metadata_bytes(
+            edge.upstream,
+            edge.downstream,
+            edge_metadata_bytes(upstream, downstream, edge.dep_type),
         )
     return tdg

@@ -9,22 +9,42 @@ stored as node payloads.
 The structure is deliberately self-contained (no networkx dependency)
 so its invariants — acyclicity, consistent adjacency, edge uniqueness —
 are enforced locally and are easy to property-test.
+
+Values derived from the whole graph can be cached on it with
+:meth:`Tdg.memoized`; every mutator (node and edge insertion and
+removal, a rename, :meth:`Tdg.set_metadata_bytes`) clears the cache.
+Edges are frozen and MATs never change after construction, so those
+mutators are the only way the graph's content can change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.dataplane.mat import Mat
 from repro.tdg.dependencies import DependencyType
+
+
+T = TypeVar("T")
 
 
 class CycleError(ValueError):
     """Raised when an operation would make the TDG cyclic."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TdgEdge:
     """A dependency edge ``(upstream -> downstream)``.
 
@@ -35,7 +55,8 @@ class TdgEdge:
         metadata_bytes: ``A(a, b)`` — metadata bytes that must ride on
             each packet if the endpoints are placed on different
             switches.  Computed by the analyzer; defaults to 0 until
-            :func:`repro.tdg.analysis.annotate_metadata_sizes` runs.
+            :func:`repro.tdg.analysis.annotate_metadata_sizes` runs,
+            which sets it through :meth:`Tdg.set_metadata_bytes`.
     """
 
     upstream: str
@@ -52,11 +73,35 @@ class Tdg:
     """A table dependency graph."""
 
     def __init__(self, name: str = "tdg") -> None:
-        self.name = name
+        self._memo: Dict[Callable[["Tdg"], Any], Any] = {}
+        self._name = name
         self._nodes: Dict[str, Mat] = {}
         self._edges: Dict[Tuple[str, str], TdgEdge] = {}
         self._succ: Dict[str, Set[str]] = {}
         self._pred: Dict[str, Set[str]] = {}
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._memo.clear()
+        self._name = value
+
+    def memoized(self, derive: Callable[["Tdg"], T]) -> T:
+        """``derive(self)``, computed once until the graph next changes.
+
+        ``derive`` must depend only on the graph's name, MATs and edges;
+        every mutator clears the cache.  The plan document's canonical
+        TDG section is kept here, so plans that share a graph serialize
+        it once.
+        """
+        try:
+            return self._memo[derive]
+        except KeyError:
+            value = self._memo[derive] = derive(self)
+            return value
 
     # ------------------------------------------------------------------
     # Construction
@@ -74,6 +119,7 @@ class Tdg:
                 f"TDG {self.name!r} already has a different MAT named "
                 f"{mat.name!r}"
             )
+        self._memo.clear()
         self._nodes[mat.name] = mat
         self._succ[mat.name] = set()
         self._pred[mat.name] = set()
@@ -108,10 +154,18 @@ class Tdg:
             )
         if metadata_bytes < 0:
             raise ValueError("metadata_bytes must be non-negative")
-        edge = TdgEdge(upstream, downstream, dep_type, metadata_bytes)
-        self._edges[key] = edge
-        self._succ[upstream].add(downstream)
-        self._pred[downstream].add(upstream)
+        return self._insert_edge(
+            TdgEdge(upstream, downstream, dep_type, metadata_bytes)
+        )
+
+    def _insert_edge(self, edge: TdgEdge) -> TdgEdge:
+        """Link ``edge``, replacing the pair's edge in place if there is
+        one; the caller guarantees its endpoints are nodes and that the
+        graph stays acyclic."""
+        self._memo.clear()
+        self._edges[edge.key] = edge
+        self._succ[edge.upstream].add(edge.downstream)
+        self._pred[edge.downstream].add(edge.upstream)
         return edge
 
     def remove_node(self, name: str) -> Mat:
@@ -119,6 +173,7 @@ class Tdg:
         mat = self._nodes.pop(name, None)
         if mat is None:
             raise KeyError(f"unknown MAT {name!r}")
+        self._memo.clear()
         for succ in list(self._succ[name]):
             del self._edges[(name, succ)]
             self._pred[succ].discard(name)
@@ -133,9 +188,29 @@ class Tdg:
         edge = self._edges.pop((upstream, downstream), None)
         if edge is None:
             raise KeyError(f"no edge {upstream!r}->{downstream!r}")
+        self._memo.clear()
         self._succ[upstream].discard(downstream)
         self._pred[downstream].discard(upstream)
         return edge
+
+    def set_metadata_bytes(
+        self, upstream: str, downstream: str, metadata_bytes: int
+    ) -> TdgEdge:
+        """Re-annotate an edge's ``A(a, b)``; the edge keeps its place
+        in the edge order.
+
+        Raises:
+            KeyError: If there is no such edge.
+            ValueError: If ``metadata_bytes`` is negative.
+        """
+        edge = self._edges.get((upstream, downstream))
+        if edge is None:
+            raise KeyError(f"no edge {upstream!r}->{downstream!r}")
+        if metadata_bytes < 0:
+            raise ValueError("metadata_bytes must be non-negative")
+        return self._insert_edge(
+            TdgEdge(upstream, downstream, edge.dep_type, metadata_bytes)
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -287,10 +362,10 @@ class Tdg:
         clone = Tdg(name or self.name)
         for mat in self._nodes.values():
             clone.add_node(mat)
+        # Edges are immutable, and a copy (or induced subgraph) of a DAG
+        # is acyclic, so both share this graph's edges unchecked.
         for edge in self._edges.values():
-            clone.add_edge(
-                edge.upstream, edge.downstream, edge.dep_type, edge.metadata_bytes
-            )
+            clone._insert_edge(edge)
         return clone
 
     def subgraph(self, names: Iterable[str], name: str = "segment") -> "Tdg":
@@ -305,12 +380,7 @@ class Tdg:
                 sub.add_node(self._nodes[node_name])
         for edge in self._edges.values():
             if edge.upstream in keep and edge.downstream in keep:
-                sub.add_edge(
-                    edge.upstream,
-                    edge.downstream,
-                    edge.dep_type,
-                    edge.metadata_bytes,
-                )
+                sub._insert_edge(edge)
         return sub
 
     def cut_bytes(self, left: Iterable[str], right: Iterable[str]) -> int:

@@ -7,16 +7,24 @@ to the same fingerprint — so a plan document is a faithful, portable
 artifact.
 """
 
+import copy
+import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.core import Hermes
-from repro.network.generators import linear_topology
+from repro.dataplane.actions import Action, ActionPrimitive
+from repro.dataplane.mat import Mat
+from repro.network.generators import linear_topology, random_wan
+from repro.network.paths import PathEnumerator
 from repro.plan import (
     SCHEMA,
     SCHEMA_VERSION,
     DeploymentPlan,
+    MatPlacement,
+    PlanBuilder,
     PlanSchemaError,
     canonical_dumps,
     plan_fingerprint,
@@ -25,7 +33,11 @@ from repro.plan import (
     read_plan,
     write_plan,
 )
+from repro.plan.splice import rebase_plan, splice_plan
+from repro.tdg import DependencyType, annotate_metadata_sizes
+from repro.tdg.analysis import edge_metadata_bytes
 from repro.workloads.switchp4 import real_programs
+from tests.plan.test_splice import drop_switch
 
 
 def deploy(num_programs):
@@ -179,3 +191,172 @@ class TestFileIO:
         path.write_text("not json {")
         with pytest.raises(PlanSchemaError, match="not valid JSON"):
             read_plan(str(path))
+
+
+# ----------------------------------------------------------------------
+# The streamed, memoized fingerprint against its definition
+# ----------------------------------------------------------------------
+def full_digest(plan):
+    """The fingerprint's definition: SHA-256 of the whole document."""
+    blob = canonical_dumps(plan_to_dict(plan))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def wan_plan():
+    """A sketch deployment on a WAN with room to rebase and splice.
+
+    It is fingerprinted before it is returned, so plans derived from it
+    start with the TDG section already memoized.
+    """
+    from tests.conftest import make_sketch_program
+
+    network = random_wan(12, 18, seed=4, num_stages=4)
+    programs = [
+        make_sketch_program(f"p{i}", index_bytes=2 + i) for i in range(6)
+    ]
+    plan = Hermes().deploy(programs, network).plan
+    plan.fingerprint()
+    return plan
+
+
+def rebased_plan():
+    plan = wan_plan()
+    occupied = set(plan.occupied_switches())
+    victim = next(
+        s.name for s in plan.network.switches if s.name not in occupied
+    )
+    return rebase_plan(plan, drop_switch(plan.network, victim))
+
+
+def spliced_plan(plan=None):
+    plan = plan or wan_plan()
+    victim = plan.occupied_switches()[0]
+    shrunk = drop_switch(plan.network, victim)
+    target = sorted(s.name for s in shrunk.programmable_switches())[0]
+    return splice_plan(
+        plan,
+        shrunk,
+        {
+            name: target
+            for name, p in plan.placements.items()
+            if p.switch == victim
+        },
+    )
+
+
+def builder_plan():
+    plan = wan_plan()
+    builder = PlanBuilder(plan.tdg, plan.network, plan.placements)
+    builder.route_shortest(PathEnumerator(plan.network))
+    return builder.build()
+
+
+def optimal_plan():
+    network = linear_topology(3, num_stages=4, stage_capacity=1.0)
+    return Hermes(mode="optimal").deploy(real_programs(2), network).plan
+
+
+PRODUCERS = {
+    "heuristic": lambda: deploy(4),
+    "optimal": optimal_plan,
+    "rebased": rebased_plan,
+    "spliced": spliced_plan,
+    "builder": builder_plan,
+    "from_dict": lambda: plan_from_dict(plan_to_dict(deploy(4))),
+}
+
+
+class TestFingerprintDifferential:
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    def test_equals_full_serialization_digest(self, producer):
+        plan = PRODUCERS[producer]()
+        expected = full_digest(plan)
+        assert plan.fingerprint() == expected
+        assert plan.fingerprint() == expected
+        assert plan_fingerprint(plan) == expected
+
+    def test_plans_sharing_a_tdg_keep_their_own_digests(self):
+        plan = wan_plan()
+        spliced = spliced_plan(plan)
+        assert spliced.tdg is plan.tdg
+        assert spliced.fingerprint() == full_digest(spliced)
+        assert spliced.fingerprint() != plan.fingerprint()
+
+    def test_pickled_and_copied_plans_fingerprint_alike(self, sample_plan):
+        expected = full_digest(sample_plan)
+        sample_plan.fingerprint()
+        for clone in (
+            pickle.loads(pickle.dumps(sample_plan)),
+            copy.deepcopy(sample_plan),
+        ):
+            assert clone.fingerprint() == expected
+
+
+def _extra_mat(name):
+    return Mat(name, actions=[Action("noop", ActionPrimitive.NO_OP)])
+
+
+def _plan_on(tdg, plan):
+    """A plan on ``tdg`` that places a MAT missing from ``plan`` on the
+    first occupied switch's first stage (enough to serialize it)."""
+    host = plan.occupied_switches()[0]
+    placements = {
+        name: plan.placements.get(name) or MatPlacement(name, host, (1,))
+        for name in tdg.node_names
+    }
+    return DeploymentPlan(tdg, plan.network, placements, plan.routing)
+
+
+class TestFingerprintInvalidation:
+    """Every TDG mutator must clear the memoized section: after each,
+    a plan on the graph must hash like its fresh full serialization."""
+
+    def test_every_mutator_clears_the_memo(self, sample_plan):
+        tdg = sample_plan.tdg.copy()
+        sink = tdg.sinks()[0]
+        seen = set()
+
+        def check():
+            plan = _plan_on(tdg, sample_plan)
+            digest = plan.fingerprint()
+            assert digest == full_digest(plan)
+            assert digest not in seen  # every step changed the graph
+            seen.add(digest)
+
+        check()
+        tdg.add_node(_extra_mat("extra.t"))
+        check()
+        tdg.add_edge(sink, "extra.t", DependencyType.MATCH)
+        check()
+        computed = edge_metadata_bytes(
+            tdg.node(sink), tdg.node("extra.t"), DependencyType.MATCH
+        )
+        tdg.set_metadata_bytes(sink, "extra.t", computed + 7)
+        check()
+        annotate_metadata_sizes(tdg)
+        assert tdg.edge(sink, "extra.t").metadata_bytes == computed
+        check()
+        tdg.name = "renamed"
+        check()
+        tdg.remove_edge(sink, "extra.t")
+        check()
+        tdg.remove_node("extra.t")
+        check()
+
+    def test_edges_change_only_through_the_graph(self, sample_plan):
+        edge = sample_plan.tdg.edges[0]
+        with pytest.raises(AttributeError):
+            edge.metadata_bytes = edge.metadata_bytes + 1
+
+    def test_re_annotation_keeps_the_edge_order(self, sample_plan):
+        tdg = sample_plan.tdg.copy()
+        keys = [e.key for e in tdg.edges]
+        first = tdg.edges[0]
+        tdg.set_metadata_bytes(
+            first.upstream, first.downstream, first.metadata_bytes + 1
+        )
+        assert [e.key for e in tdg.edges] == keys
+        with pytest.raises(ValueError):
+            tdg.set_metadata_bytes(first.upstream, first.downstream, -1)
+        with pytest.raises(KeyError):
+            tdg.set_metadata_bytes(first.downstream, first.upstream, 1)

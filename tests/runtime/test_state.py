@@ -113,6 +113,33 @@ class TestDerived:
         vanished = world.vanished_hosts(prog[:3])
         assert vanished == {prog[0], prog[1]}
 
+    def test_hostable_switches_match_current_network(self, world, network):
+        """The names come from the overlays, without building the
+        network, and must equal the built network's, in its order."""
+        prog = [s.name for s in network.programmable_switches()]
+        non_prog = [s.name for s in network.switches if not s.programmable]
+        link = network.links[0]
+        events = [
+            ev(EventKind.SWITCH_FAIL, prog[0]),
+            ev(EventKind.SWITCH_DRAIN, prog[1]),
+            # A drain outranks a programmability override.
+            ev(EventKind.SET_PROGRAMMABLE, prog[1], 1.0),
+            ev(EventKind.SET_PROGRAMMABLE, prog[2], 0.0),
+            ev(EventKind.SET_PROGRAMMABLE, non_prog[0], 1.0),
+            ev(EventKind.LINK_LATENCY, f"{link.u}|{link.v}", 7.0),
+            ev(EventKind.WORKLOAD_ADD, "churn0", 3.0),
+            ev(EventKind.WORKLOAD_REMOVE, "churn0"),
+            ev(EventKind.SWITCH_RECOVER, prog[1]),
+            ev(EventKind.SWITCH_RECOVER, prog[0]),
+        ]
+        assert {e.kind for e in events} == set(EventKind.ALL)
+        for event in events:
+            world.apply(event)
+            assert (
+                world.hostable_switches()
+                == world.current_network().programmable_names()
+            ), event
+
     def test_base_network_never_mutated(self, world, network):
         before = (network.num_switches, network.num_links)
         world.apply(ev(EventKind.SWITCH_FAIL, network.switch_names[0]))

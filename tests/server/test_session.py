@@ -52,6 +52,21 @@ class TestSessionWarmPath:
         assert second["fingerprint"] == first["fingerprint"]
         assert session.warm_hits == 1 and session.cold_solves == 1
 
+    def test_warm_versions_share_one_tdg(self):
+        """A warm deploy keeps the plan it built instead of re-parsing
+        its document, so the TDG (and its serialization memo) carries
+        from one warm version to the next."""
+        session = Session("t4")
+        for _ in range(3):
+            session.deploy(PARAMS)
+        versions = session.store.versions
+        assert [v.reason for v in versions] == [
+            "initial", "incremental", "incremental",
+        ]
+        assert versions[2].plan.tdg is versions[1].plan.tdg
+        assert versions[1].plan.tdg is versions[0].plan.tdg
+        assert len(set(session.store.fingerprints())) == 1
+
     def test_changed_params_resolve_cold(self):
         session = Session("t1")
         session.deploy(PARAMS)
@@ -89,6 +104,28 @@ class TestSessionPersistence:
         again = resumed.deploy(PARAMS)
         assert again["session"]["source"] == "warm:rebase"
         assert again["fingerprint"] == first["fingerprint"]
+
+    def test_each_deploy_writes_one_plan_file(self, tmp_path, monkeypatch):
+        import repro.runtime.store as store_module
+
+        written = []
+        real_write_plan = store_module.write_plan
+
+        def counting_write_plan(plan, path):
+            written.append(path)
+            real_write_plan(plan, path)
+
+        monkeypatch.setattr(store_module, "write_plan", counting_write_plan)
+        state = tmp_path / "sess"
+        session = Session("a", state_dir=str(state))
+        for deploy in range(1, 4):
+            session.deploy(PARAMS)
+            assert len(written) == deploy
+            prefix = str(state / f"plan-{deploy - 1:03d}-")
+            assert written[-1].startswith(prefix)
+        assert len(list(state.glob("plan-*.json"))) == 3
+        resumed = Session("b", state_dir=str(state))
+        assert resumed.store.fingerprints() == session.store.fingerprints()
 
     def test_recovery_continues_the_digest(self, tmp_path):
         state = str(tmp_path / "sess")
