@@ -1,33 +1,46 @@
-"""Benchmark: solver profiles — fast vs classic on the Exp#3 family.
+"""Benchmark: the production solvers vs the classic branch & bound.
 
-The ``fast`` profile (presolve + reliability/pseudo-cost branching +
-telemetered primal heuristics) must return the exact same deployments
-as the byte-for-byte historical ``classic`` profile while exploring no
-more branch & bound nodes — and strictly fewer on at least half of the
-instances where both profiles run the branch & bound.  Node counts sum
-``nodes_explored`` over the ``solver.done`` events of every ILP solve
-in a deployment: the branch & bound's explored nodes (equal to its
-``solver.node`` count) or, for the P#1 solves HiGHS runs under
-``fast``, HiGHS's own node count.
+Each ILP job has one production solver: HiGHS's branch-and-cut for
+Hermes' P#1 (``Optimal``) and the branch & bound's ``fast`` search
+(presolve + reliability/pseudo-cost branching + telemetered primal
+heuristics) for every other ILP.  On the Exp#3 family they must return
+the exact same deployments as the byte-for-byte historical ``classic``
+search, which stays in :mod:`repro.milp.branch_bound` as the oracle,
+while exploring no more branch & bound nodes — and strictly fewer on at
+least half of the instances where both columns run the branch & bound.
 
-The two counts are not comparable: HiGHS counts the root node it
-processes, while the branch & bound counts only nodes it pops and does
-not prune, so a root closed by the warm start counts 0.  Instances
-whose ``fast`` side ran HiGHS (``highs_solves`` > 0) are therefore
-held to equal ``overhead_bytes`` only, not to the node gate.
+The ``classic`` column patches the bindings the frameworks look up at
+call time (:func:`classic_search`): the ``BranchBoundSolver`` names of
+:mod:`repro.baselines.min_stage` and :mod:`repro.core.formulation`, and
+``HermesMilp._solver``, so P#1 runs on the classic branch & bound too.
+
+Node counts sum ``nodes_explored`` over the ``solver.done`` events of
+every ILP solve in a deployment: the branch & bound's explored nodes
+(equal to its ``solver.node`` count) or, for the P#1 solves HiGHS runs,
+HiGHS's own node count.  The two counts are not comparable: HiGHS
+counts the root node it processes, while the branch & bound counts only
+nodes it pops and does not prune, so a root closed by the warm start
+counts 0.  Instances whose ``fast`` side ran HiGHS (``highs_solves`` >
+0) are therefore held to equal ``overhead_bytes`` only, not to the node
+gate.
 
 Results are written to ``BENCH_solver.json`` at the repo root so the
 node-count contract is auditable across commits.
 """
 
+import contextlib
+import functools
 import json
 import os
 
 import pytest
 
 from repro.baselines import HermesOptimal, MinStage, Speed
+from repro.baselines import min_stage
+from repro.core import formulation
+from repro.core.formulation import HermesMilp, MilpFormulation
 from repro.experiments.exp2_overhead import workload
-from repro.milp.branch_bound import SOLVER_PROFILES
+from repro.milp.branch_bound import PROFILE_CLASSIC, BranchBoundSolver
 from repro.network.topozoo import topology_zoo_wan
 from repro.telemetry import Recorder, attached
 
@@ -41,22 +54,38 @@ _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_solver.json")
 #: SPEED runs on one topology and a smaller workload: its network-wide
 #: ILP is by far the most expensive solve in the family.
 GOLDEN = [
-    ("MinStage/topo1", lambda p: MinStage(time_limit_s=5.0, solver_profile=p), 1, 10),
-    ("MinStage/topo5", lambda p: MinStage(time_limit_s=5.0, solver_profile=p), 5, 10),
-    ("MinStage/topo10", lambda p: MinStage(time_limit_s=5.0, solver_profile=p), 10, 10),
-    ("Optimal/topo1", lambda p: HermesOptimal(time_limit_s=60.0, solver_profile=p), 1, 10),
-    ("Optimal/topo5", lambda p: HermesOptimal(time_limit_s=60.0, solver_profile=p), 5, 10),
-    ("Optimal/topo10", lambda p: HermesOptimal(time_limit_s=60.0, solver_profile=p), 10, 10),
-    ("SPEED/topo1", lambda p: Speed(time_limit_s=60.0, solver_profile=p), 1, 8),
+    ("MinStage/topo1", lambda: MinStage(time_limit_s=5.0), 1, 10),
+    ("MinStage/topo5", lambda: MinStage(time_limit_s=5.0), 5, 10),
+    ("MinStage/topo10", lambda: MinStage(time_limit_s=5.0), 10, 10),
+    ("Optimal/topo1", lambda: HermesOptimal(time_limit_s=60.0), 1, 10),
+    ("Optimal/topo5", lambda: HermesOptimal(time_limit_s=60.0), 5, 10),
+    ("Optimal/topo10", lambda: HermesOptimal(time_limit_s=60.0), 10, 10),
+    ("SPEED/topo1", lambda: Speed(time_limit_s=60.0), 1, 8),
 ]
 
 
-def _run_instance(factory, topology_id, num_programs, profile):
+@contextlib.contextmanager
+def classic_search():
+    """Run every ILP, P#1 included, on the classic branch & bound."""
+    classic = functools.partial(BranchBoundSolver, profile=PROFILE_CLASSIC)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(min_stage, "BranchBoundSolver", classic)
+        mp.setattr(formulation, "BranchBoundSolver", classic)
+        mp.setattr(HermesMilp, "_solver", MilpFormulation._solver)
+        yield
+
+
+#: The two columns of every instance: the production solvers, and the
+#: classic branch & bound in their place.
+COLUMNS = {"fast": contextlib.nullcontext, "classic": classic_search}
+
+
+def _run_instance(factory, topology_id, num_programs, column):
     programs = workload(num_programs)
     network = topology_zoo_wan(topology_id)
     rec = Recorder()
-    with attached(rec):
-        result = factory(profile).deploy(programs, network)
+    with COLUMNS[column](), attached(rec):
+        result = factory().deploy(programs, network)
     return {
         "nodes": sum(
             done["nodes_explored"] for done in rec.of_kind("solver.done")
@@ -77,22 +106,19 @@ def _run_instance(factory, topology_id, num_programs, profile):
 
 @pytest.fixture(scope="module")
 def solver_records():
-    """Both profiles over every golden instance, persisted to JSON."""
+    """Both columns over every golden instance, persisted to JSON."""
     records = []
     for label, factory, topology_id, num_programs in GOLDEN:
-        per_profile = {
-            profile: _run_instance(factory, topology_id, num_programs, profile)
-            for profile in SOLVER_PROFILES
+        record = {
+            "instance": label,
+            "topology": topology_id,
+            "programs": num_programs,
         }
-        records.append(
-            {
-                "instance": label,
-                "topology": topology_id,
-                "programs": num_programs,
-                "classic": per_profile["classic"],
-                "fast": per_profile["fast"],
-            }
-        )
+        for column in COLUMNS:
+            record[column] = _run_instance(
+                factory, topology_id, num_programs, column
+            )
+        records.append(record)
     branch_and_bound = [r for r in records if not r["fast"]["highs_solves"]]
     strict = sum(
         1
@@ -118,7 +144,7 @@ def solver_records():
 
 
 def test_bench_solver_profiles_agree(solver_records):
-    """Both profiles produce identical deployments within budget."""
+    """Both columns produce identical deployments within budget."""
     for record in solver_records["instances"]:
         classic, fast = record["classic"], record["fast"]
         assert not classic["timed_out"], record["instance"]
@@ -149,8 +175,8 @@ def test_bench_solver_report(solver_records):
     from conftest import record_report
 
     rows = [
-        "Solver profiles on the Exp#3 family (nodes per deployment; "
-        "fast runs HiGHS on Optimal)",
+        "Production solvers vs classic branch & bound on the Exp#3 "
+        "family (nodes per deployment; fast runs HiGHS on Optimal)",
         f"{'instance':<18} {'classic':>9} {'fast':>9} {'classic s':>10} {'fast s':>8}",
     ]
     for record in solver_records["instances"]:

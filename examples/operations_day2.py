@@ -8,13 +8,14 @@ walks through the runtime story a network operator lives with:
    and watch the metadata piggyback across switches;
 2. install runtime rules through the controller (with capacity
    accounting and an audit log);
-3. fail the busiest switch and let the migration planner re-deploy,
-   reporting which MATs move and what the new byte overhead is.
+3. fail the counting switch and let the lifecycle reconciler
+   re-deploy, reporting which MATs move and what the new byte overhead
+   is.
 
 Run:  python examples/operations_day2.py
 """
 
-from repro.control import Controller, MigrationPlanner
+from repro.control import Controller
 from repro.core import Hermes
 from repro.dataplane import (
     Mat,
@@ -27,6 +28,7 @@ from repro.dataplane import (
 )
 from repro.dataplane.rules import MatchKind, MatchSpec, Rule
 from repro.network import linear_topology
+from repro.runtime import EventKind, NetworkEvent, Reconciler, Scenario
 from repro.simulation import PlanInterpreter
 
 
@@ -66,12 +68,22 @@ def build_program() -> Program:
     )
 
 
+def install_udp_rule(controller: Controller) -> None:
+    controller.install_rule(
+        "flow_counter.hash",
+        Rule(
+            matches=(MatchSpec("ipv4.protocol", MatchKind.EXACT, 17),),
+            action_name="hash_fc_idx",
+        ),
+    )
+
+
 def main() -> None:
     # A ring survives any single switch failure; a line would not.
     network = linear_topology(4, num_stages=1, stage_capacity=1.0)
     network.connect("s3", "s0", latency_ms=0.001)
-    result = Hermes().deploy([build_program()], network)
-    plan = result.plan
+    programs = [build_program()]
+    plan = Hermes().deploy(programs, network).plan
     print(
         f"deployed across {plan.occupied_switches()} "
         f"(A_max = {plan.max_metadata_bytes()} B)\n"
@@ -96,37 +108,38 @@ def main() -> None:
     controller = Controller(plan)
     switch, stages = controller.resolve("flow_counter.hash")
     print(f"\ncontroller: flow_counter.hash lives on {switch} stages {stages}")
-    controller.install_rule(
-        "flow_counter.hash",
-        Rule(
-            matches=(MatchSpec("ipv4.protocol", MatchKind.EXACT, 17),),
-            action_name="hash_fc_idx",
-        ),
-    )
+    install_udp_rule(controller)
     occupancy = controller.occupancy_report()["flow_counter.hash"]
     print(f"  installed UDP rule; table occupancy {occupancy[0]}/{occupancy[1]}")
 
-    # 3. Fail the counting switch; migrate.
+    # 3. Fail the counting switch; the reconciler re-deploys on the
+    # surviving network and rebinds a controller holding the same rule.
     victim = plan.switch_of("flow_counter.count")
-    installed = {
-        name: controller.rules_to_replay(name) for name in plan.placements
-    }
-    diff = MigrationPlanner().handle_switch_failure(
-        plan, victim, installed_rules=installed
+    scenario = Scenario(
+        name="day2",
+        seed=0,
+        workload_spec="flow_counter",
+        topology_spec="ring:4",
+        events=(NetworkEvent(1.0, EventKind.SWITCH_FAIL, victim),),
     )
+    reconciled = Reconciler(
+        programs, network, prepare_fn=install_udp_rule
+    ).run(scenario)
+    (outcome,) = reconciled.outcomes
     print(f"\nswitch {victim} failed:")
-    for move in diff.moves:
-        source = move.source or "(failed switch)"
-        print(
-            f"  move {move.mat_name}: {source} -> {move.destination} "
-            f"({move.rules_to_replay} rules to replay)"
+    for change in outcome.plan_diff.moved:
+        source = (
+            "(failed switch)"
+            if change.old_switch == victim
+            else change.old_switch
         )
+        print(f"  move {change.mat_name}: {source} -> {change.new_switch}")
     print(
-        f"  overhead {diff.old_overhead_bytes} B -> "
-        f"{diff.new_overhead_bytes} B, disruption "
-        f"{diff.disruption:.0%}"
+        f"  overhead {outcome.old_amax_bytes} B -> "
+        f"{outcome.new_amax_bytes} B, disruption "
+        f"{outcome.moves / len(plan.placements):.0%}"
     )
-
+    print(f"  rules replayed: {outcome.rules_replayed}")
 
 if __name__ == "__main__":
     main()

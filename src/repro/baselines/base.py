@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import (
-    DeploymentError,
-    DeploymentPlan,
-    MatPlacement,
-)
 from repro.core.stages import earliest_window
 from repro.dataplane.program import Program
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import (
+    DeploymentError,
+    DeploymentPlan,
+    MatPlacement,
+)
 from repro.tdg.graph import Tdg
 from repro.telemetry import emit
 

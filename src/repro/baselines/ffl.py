@@ -17,10 +17,10 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentPlan
 from repro.dataplane.program import Program
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentPlan
 from repro.tdg.builder import qualified_name
 from repro.tdg.graph import Tdg
 

@@ -4,7 +4,7 @@
 ``HermesOptimal`` is the Gurobi-style exact configuration ("Optimal" in
 the figures): P#1 warm-started from the greedy plan
 (:meth:`~repro.core.formulation.HermesMilp.deploy_seeded`), solved by
-HiGHS's branch-and-cut under the default ``fast`` profile.
+HiGHS's branch-and-cut.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from repro.baselines.base import DeploymentFramework
-from repro.core.deployment import DeploymentPlan
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentPlan
 from repro.tdg.graph import Tdg
 
 
@@ -62,13 +61,11 @@ class HermesOptimal(DeploymentFramework):
         max_candidates: Optional[int] = 8,
         epsilon1: float = math.inf,
         epsilon2: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.epsilon1 = epsilon1
         self.epsilon2 = epsilon2
-        self.solver_profile = solver_profile
 
     def _place(
         self,
@@ -82,6 +79,5 @@ class HermesOptimal(DeploymentFramework):
             epsilon2=self.epsilon2,
             max_candidates=self.max_candidates,
             time_limit_s=self.time_limit_s,
-            solver_profile=self.solver_profile,
         )
         return formulation.deploy_seeded(tdg, network, paths)

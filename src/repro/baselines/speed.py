@@ -18,13 +18,12 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentError, DeploymentPlan
 from repro.core.formulation import OBJECTIVE_LATENCY, MilpFormulation
 from repro.dataplane.program import Program
-from repro.milp.profiles import DEFAULT_PROFILE
 from repro.milp.solution import SolveStatus
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentError, DeploymentPlan
 from repro.tdg.graph import Tdg
 
 
@@ -40,12 +39,10 @@ class Speed(DeploymentFramework):
         time_limit_s: float = 30.0,
         max_candidates: Optional[int] = 8,
         epsilon2: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.epsilon2 = epsilon2
-        self.solver_profile = solver_profile
 
     def _formulation(self) -> MilpFormulation:
         return MilpFormulation(
@@ -54,7 +51,6 @@ class Speed(DeploymentFramework):
             epsilon2=self.epsilon2,
             max_candidates=self.max_candidates,
             time_limit_s=self.time_limit_s,
-            solver_profile=self.solver_profile,
         )
 
     def _place(

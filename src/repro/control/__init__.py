@@ -8,11 +8,11 @@ package provides it:
 * :class:`Controller` — owns a deployed plan; resolves logical MAT
   names to their hosting switch, installs/removes rules with capacity
   accounting, and keeps an auditable event log;
-* :class:`repro.control.migration.MigrationPlanner` — reacts to switch
-  failures (or administrative drains) by re-running the deployment on
-  the surviving network and emitting the minimal migration diff: which
-  MATs move where, which rules must be replayed, and how the byte
-  overhead changes.
+* :func:`repro.control.migration.compute_moves` — reduces a
+  re-deployment after switch failures (or administrative drains) to
+  its move set: which MATs move where, whether their old host vanished,
+  and which rules must be replayed.  The lifecycle reconciler
+  (:class:`repro.runtime.Reconciler`) re-deploys and calls it.
 """
 
 from repro.control.controller import (
@@ -22,19 +22,12 @@ from repro.control.controller import (
     RuleEvent,
     TableHandle,
 )
-from repro.control.migration import (
-    MigrationDiff,
-    MigrationPlanner,
-    MatMove,
-    compute_moves,
-)
+from repro.control.migration import MatMove, compute_moves
 
 __all__ = [
     "Controller",
     "ControllerError",
     "MatMove",
-    "MigrationDiff",
-    "MigrationPlanner",
     "RebindReport",
     "RuleEvent",
     "TableHandle",

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from repro.core.deployment import DeploymentPlan
 from repro.dataplane.mat import Mat
 from repro.dataplane.rules import Rule
+from repro.plan.artifact import DeploymentPlan
 
 
 class ControllerError(RuntimeError):

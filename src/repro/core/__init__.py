@@ -6,7 +6,7 @@ The pipeline mirrors Figure 3:
    metadata-annotated TDG (Algorithm 1);
 2. the optimization framework places every MAT on a pipeline stage of a
    programmable switch, either exactly (:class:`HermesMilp`, problem
-   P#1 solved by branch & bound) or via the greedy heuristic
+   P#1 solved by HiGHS) or via the greedy heuristic
    (:class:`GreedyHeuristic`, Algorithm 2);
 3. the result is a :class:`DeploymentPlan` whose inter-switch
    coordination cost is measured by :class:`CoordinationAnalysis`, and
@@ -19,7 +19,7 @@ so a heuristic deploy never loads the solver stack.
 """
 
 from repro.lazy import lazy_exports
-from repro.core.deployment import (
+from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,

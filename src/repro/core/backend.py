@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
 from repro.dataplane.mat import ResourceDemand
+from repro.plan.artifact import DeploymentPlan
 
 
 @dataclass

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.deployment import DeploymentPlan
 from repro.dataplane.fields import Field, FieldSet
 from repro.dataplane.mat import Mat
+from repro.plan.artifact import DeploymentPlan
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import TdgEdge
 

@@ -34,21 +34,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.deployment import DeploymentError, DeploymentPlan, MatPlacement
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model, Var
-from repro.milp.branch_bound import (
-    DEFAULT_PROFILE,
-    PROFILE_FAST,
-    SOLVER_PROFILES,
-    BranchBoundSolver,
-)
+from repro.milp.branch_bound import BranchBoundSolver
 from repro.milp.highs import HighsSolver
 from repro.milp.solution import Solution, SolveStatus
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
 from repro.tdg.graph import Tdg
 
 #: Objectives selectable as the primary objective (the other two become
@@ -157,11 +152,6 @@ class MilpFormulation:
         time_limit_s: Solver wall-clock budget.
         max_mats_per_switch: Optional per-switch MAT-count cap (used by
             the MTP baseline to spread control-plane load).
-        solver_profile: Branch & bound search profile (``"fast"`` or
-            ``"classic"``; see :mod:`repro.milp.branch_bound`).  Both
-            are exact — the profile only changes how quickly optimality
-            is proven.  :class:`HermesMilp` hands ``fast`` solves to
-            HiGHS instead.
     """
 
     def __init__(
@@ -173,7 +163,6 @@ class MilpFormulation:
         explicit_paths: bool = False,
         time_limit_s: float = 60.0,
         max_mats_per_switch: Optional[int] = None,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         if objective not in _OBJECTIVES:
             raise ValueError(
@@ -183,11 +172,6 @@ class MilpFormulation:
             raise ValueError("epsilon1 must be positive")
         if epsilon2 is not None and epsilon2 <= 0:
             raise ValueError("epsilon2 must be positive")
-        if solver_profile not in SOLVER_PROFILES:
-            raise ValueError(
-                f"solver_profile must be one of {SOLVER_PROFILES}, "
-                f"got {solver_profile!r}"
-            )
         self.objective = objective
         self.epsilon1 = epsilon1
         self.epsilon2 = epsilon2
@@ -195,7 +179,6 @@ class MilpFormulation:
         self.explicit_paths = explicit_paths
         self.time_limit_s = time_limit_s
         self.max_mats_per_switch = max_mats_per_switch
-        self.solver_profile = solver_profile
         #: Solver outcome of the most recent :meth:`deploy` call;
         #: experiments read it to distinguish proven-optimal runs from
         #: time-limited incumbents.
@@ -422,9 +405,7 @@ class MilpFormulation:
 
     def _solver(self):
         """The solver :meth:`deploy` runs: the branch & bound."""
-        return BranchBoundSolver(
-            time_limit_s=self.time_limit_s, profile=self.solver_profile
-        )
+        return BranchBoundSolver(time_limit_s=self.time_limit_s)
 
     def encode_plan(
         self,
@@ -538,10 +519,9 @@ class MilpFormulation:
 class HermesMilp(MilpFormulation):
     """The paper's "Optimal" configuration: P#1 solved exactly.
 
-    :class:`MilpFormulation` with the overhead objective.  Under the
-    default ``fast`` profile the model goes to HiGHS's branch-and-cut
-    (:class:`~repro.milp.highs.HighsSolver`), standing in for the
-    paper's Gurobi; ``classic`` keeps the Python branch & bound.
+    :class:`MilpFormulation` with the overhead objective, solved by
+    HiGHS's branch-and-cut (:class:`~repro.milp.highs.HighsSolver`)
+    standing in for the paper's Gurobi.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -549,9 +529,7 @@ class HermesMilp(MilpFormulation):
         super().__init__(**kwargs)
 
     def _solver(self):
-        if self.solver_profile == PROFILE_FAST:
-            return HighsSolver(time_limit_s=self.time_limit_s)
-        return super()._solver()
+        return HighsSolver(time_limit_s=self.time_limit_s)
 
     def deploy_seeded(
         self,
@@ -563,11 +541,10 @@ class HermesMilp(MilpFormulation):
         practitioner warm-starts Gurobi.
 
         Algorithm 2 runs first under the same epsilon bounds.  Its plan
-        is the solve's warm start: the branch & bound's first
-        incumbent, or for HiGHS an upper bound on ``A_max``.  The
-        result is never worse than the greedy plan: when the solve
-        fails, or stops on its time limit at a worse incumbent, the
-        greedy plan is returned.
+        is the solve's warm start, which HiGHS turns into an upper
+        bound on ``A_max``.  The result is never worse than the greedy
+        plan: when the solve fails, or stops on its time limit at a
+        worse incumbent, the greedy plan is returned.
 
         Returns:
             ``(plan, timed_out)``; ``timed_out`` is True when the solve

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentPlan
 from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.program import Program
-from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentPlan
 from repro.tdg.graph import Tdg
 
 MODE_HEURISTIC = "heuristic"
@@ -72,15 +71,13 @@ class Hermes:
             evaluation uses loose bounds, the default is unbounded.
         epsilon2: Occupied-switch bound (Eq. 5).
         mode: ``"heuristic"`` (Algorithm 2) or ``"optimal"`` (P#1,
-            solved by HiGHS under the ``fast`` profile).
+            solved by HiGHS).
         merge: Run SPEED-style TDG merging in the analyzer.
         time_limit_s: Solver budget for optimal mode.
         max_candidates: Candidate-switch cap for optimal mode.
         replicate_hubs: Hub-replication policy for heuristic mode
             (False | True | "auto"; see
             :mod:`repro.core.replication`).
-        solver_profile: Solver profile for optimal mode (``"fast"``:
-            HiGHS; ``"classic"``: the Python branch & bound).
     """
 
     def __init__(
@@ -92,7 +89,6 @@ class Hermes:
         time_limit_s: float = 60.0,
         max_candidates: Optional[int] = 8,
         replicate_hubs=False,
-        solver_profile: str = DEFAULT_PROFILE,
     ) -> None:
         if mode not in (MODE_HEURISTIC, MODE_OPTIMAL):
             raise ValueError(f"unknown mode {mode!r}")
@@ -103,7 +99,6 @@ class Hermes:
         self.time_limit_s = time_limit_s
         self.max_candidates = max_candidates
         self.replicate_hubs = replicate_hubs
-        self.solver_profile = solver_profile
 
     def analyze(self, programs: Sequence[Program]) -> Tdg:
         """Step 1 only: run the program analyzer."""
@@ -168,7 +163,6 @@ class Hermes:
                 epsilon2=self.epsilon2,
                 time_limit_s=self.time_limit_s,
                 max_candidates=self.max_candidates,
-                solver_profile=self.solver_profile,
             )
             plan, timed_out = formulation.deploy_seeded(
                 tdg, network, paths

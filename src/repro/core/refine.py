@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.deployment import (
+from repro.core.stages import StageAssignmentError, assign_stages
+from repro.network.paths import PathEnumerator
+from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
 )
-from repro.core.stages import StageAssignmentError, assign_stages
-from repro.network.paths import PathEnumerator
 from repro.plan.builder import PlanBuilder
 
 

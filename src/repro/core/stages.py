@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.deployment import MatPlacement
 from repro.network.switch import Switch
+from repro.plan.artifact import MatPlacement
 from repro.tdg.graph import Tdg
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
+from repro.plan.artifact import DeploymentPlan
 
 
 class DataflowError(AssertionError):

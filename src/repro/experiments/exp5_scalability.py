@@ -20,7 +20,6 @@ from repro.baselines.base import DeploymentFramework
 from repro.experiments.exp2_overhead import workload, workload_spec
 from repro.experiments.harness import DeploymentRecord
 from repro.experiments.reporting import Table, pivot_records
-from repro.milp.profiles import DEFAULT_PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentRunner
@@ -51,21 +50,11 @@ def suite_spec(
     topology_id: int = TOPOLOGY_ID,
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
-    solver_profile: str = DEFAULT_PROFILE,
 ):
     """The Exp#5 suite spec for arbitrary sweep parameters (the
     shipped ``exp5.json`` is this at the paper's defaults)."""
     from repro.suite import SuiteSpec
 
-    frameworks = {
-        "set": "paper",
-        "ilp_time_limit_s": ilp_time_limit_s,
-        "per_program_ilp_time_limit_s": max(
-            ilp_time_limit_s / 20.0, 0.2
-        ),
-    }
-    if solver_profile != DEFAULT_PROFILE:
-        frameworks["solver_profile"] = solver_profile
     return SuiteSpec.from_dict(
         {
             "suite": "repro.suite/v1",
@@ -82,7 +71,13 @@ def suite_spec(
                 "topologies": [
                     {"spec": f"zoo:{topology_id}", "tag": topology_id}
                 ],
-                "frameworks": frameworks,
+                "frameworks": {
+                    "set": "paper",
+                    "ilp_time_limit_s": ilp_time_limit_s,
+                    "per_program_ilp_time_limit_s": max(
+                        ilp_time_limit_s / 20.0, 0.2
+                    ),
+                },
             },
             "params": {"tag_axis": "workload"},
             "aggregate": ["exp5"],
@@ -97,7 +92,6 @@ def run(
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
     runner: Optional["ExperimentRunner"] = None,
-    solver_profile: str = DEFAULT_PROFILE,
 ) -> List[Exp5Point]:
     """Sweep the program count; the whole (framework x count) grid is
     one flat cell list so a parallel ``runner`` overlaps every solve,
@@ -108,8 +102,7 @@ def run(
 
     cells = deployment_cells(
         suite_spec(
-            program_counts, topology_id, seed, ilp_time_limit_s,
-            solver_profile,
+            program_counts, topology_id, seed, ilp_time_limit_s
         ),
         frameworks_override=frameworks,
     )

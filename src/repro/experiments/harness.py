@@ -27,7 +27,6 @@ from repro.baselines import (
 )
 from repro.baselines.base import DeploymentFramework, FrameworkResult
 from repro.dataplane.program import Program
-from repro.milp.profiles import DEFAULT_PROFILE
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError
@@ -96,40 +95,21 @@ def default_frameworks(
     ilp_time_limit_s: float = 10.0,
     per_program_ilp_time_limit_s: float = 1.0,
     include_optimal: bool = True,
-    solver_profile: str = DEFAULT_PROFILE,
 ) -> List[DeploymentFramework]:
-    """The paper's comparison set, in figure order.
-
-    ``solver_profile`` selects the branch & bound search profile for
-    every ILP-backed framework (``"fast"`` or ``"classic"``; see
-    :mod:`repro.milp.branch_bound`).  Both profiles are exact, so the
-    recorded overheads are identical — only solve times differ.
-    """
+    """The paper's comparison set, in figure order."""
     frameworks: List[DeploymentFramework] = [
-        MinStage(
-            time_limit_s=per_program_ilp_time_limit_s,
-            solver_profile=solver_profile,
-        ),
-        Sonata(
-            time_limit_s=per_program_ilp_time_limit_s,
-            solver_profile=solver_profile,
-        ),
-        Speed(time_limit_s=ilp_time_limit_s, solver_profile=solver_profile),
-        Mtp(time_limit_s=ilp_time_limit_s, solver_profile=solver_profile),
-        Flightplan(
-            time_limit_s=ilp_time_limit_s, solver_profile=solver_profile
-        ),
-        P4All(time_limit_s=ilp_time_limit_s, solver_profile=solver_profile),
+        MinStage(time_limit_s=per_program_ilp_time_limit_s),
+        Sonata(time_limit_s=per_program_ilp_time_limit_s),
+        Speed(time_limit_s=ilp_time_limit_s),
+        Mtp(time_limit_s=ilp_time_limit_s),
+        Flightplan(time_limit_s=ilp_time_limit_s),
+        P4All(time_limit_s=ilp_time_limit_s),
         Ffl(),
         Ffls(),
         HermesHeuristic(),
     ]
     if include_optimal:
-        frameworks.append(
-            HermesOptimal(
-                time_limit_s=ilp_time_limit_s, solver_profile=solver_profile
-            )
-        )
+        frameworks.append(HermesOptimal(time_limit_s=ilp_time_limit_s))
     return frameworks
 
 

@@ -29,8 +29,8 @@ from repro.network.topology import Network
 
 #: Bump when the record layout or fingerprint scheme changes; old cache
 #: entries then miss instead of deserializing garbage.  v2: ILP-backed
-#: frameworks grew a ``solver_profile`` attribute, so their
-#: fingerprints changed shape.  v3: cache entries store the serialized
+#: frameworks grew a search-profile attribute, so their fingerprints
+#: changed shape.  v3: cache entries store the serialized
 #: deployment plan (``repro.plan`` canonical document) alongside the
 #: record, so v2 entries lack the plan payload.  v4: records carry the
 #: plan-aware end-to-end metrics (``plan_fct_ratio`` /
@@ -38,8 +38,10 @@ from repro.network.topology import Network
 #: defaults.  v5: ``Optimal`` under the ``fast`` profile is solved by
 #: HiGHS, which picks other plans among A_max ties (and finds other
 #: incumbents on the clock) than the branch & bound whose records v4
-#: holds.
-CACHE_KEY_VERSION = 5
+#: holds.  v6: the frameworks lost the search-profile attribute again
+#: (each ILP has one production solver), so their fingerprints changed
+#: shape.
+CACHE_KEY_VERSION = 6
 
 
 def _canon(value: Any) -> Any:

@@ -15,19 +15,18 @@ callbacks.  It is deliberately a general-purpose component: both the
 Hermes "Optimal" configuration and every ILP-based baseline build their
 models against this API.
 
-The branch & bound runs one of two profiles (see
-:mod:`repro.milp.branch_bound`): ``"fast"`` layers a presolve pass
+Each job has one production solver.  P#1's overhead objective
+(``HermesMilp``) goes to :class:`HighsSolver`, with a warm start turned
+into an objective cutoff (:mod:`repro.milp.highs`).  Every other ILP
+runs the branch & bound's search with a presolve pass
 (:mod:`repro.milp.presolve`), pseudo-cost branching and primal
-heuristics (:mod:`repro.milp.heuristics`) on top of the search;
-``"classic"`` is the historical most-fractional search kept as the
-trusted differential baseline.  Both are exact and return identical
-optimal objectives.  Under ``fast``, P#1's overhead objective
-(``HermesMilp``) is solved by :class:`HighsSolver` instead, with a
-warm start turned into an objective cutoff (:mod:`repro.milp.highs`).
+heuristics (:mod:`repro.milp.heuristics`).  The branch & bound's
+historical most-fractional search stays behind
+``BranchBoundSolver(profile="classic")`` as the oracle the tests
+compare against (see :mod:`repro.milp.branch_bound`).
 
-The modeling layer and the profile names (:mod:`repro.milp.profiles`)
-load without numpy or scipy; the solvers, which need both, are
-imported on first access (:mod:`repro.lazy`).
+The modeling layer loads without numpy or scipy; the solvers, which
+need both, are imported on first access (:mod:`repro.lazy`).
 """
 
 from repro.lazy import lazy_exports
@@ -41,7 +40,6 @@ from repro.milp.presolve import (
     model_signature,
     presolve,
 )
-from repro.milp.profiles import DEFAULT_PROFILE, SOLVER_PROFILES
 from repro.milp.solution import Solution, SolveStatus
 
 __getattr__ = lazy_exports(
@@ -55,7 +53,6 @@ __getattr__ = lazy_exports(
 __all__ = [
     "BranchBoundSolver",
     "Constraint",
-    "DEFAULT_PROFILE",
     "HighsSolver",
     "LinExpr",
     "Model",
@@ -66,7 +63,6 @@ __all__ = [
     "Sense",
     "Solution",
     "SolveStatus",
-    "SOLVER_PROFILES",
     "Var",
     "VarType",
     "model_signature",

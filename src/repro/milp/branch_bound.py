@@ -5,31 +5,30 @@ Every node relaxes integrality and solves the LP with HiGHS (through
 child nodes (floor / ceil bound splits); nodes whose LP bound cannot
 beat the incumbent are pruned.
 
-The solver runs one of two **profiles**:
+Production solves run the ``"fast"`` search: a presolve pass
+(:mod:`repro.milp.presolve`) shrinks the model before the search,
+**pseudo-cost branching** picks branching variables from observed
+LP-bound degradations instead of raw fractionality, and the primal
+heuristics (:mod:`repro.milp.heuristics`) supply early incumbents so
+pruning bites sooner.  Telemetry gains ``solver.presolve``,
+``solver.branching`` and ``solver.heuristic`` events, and heuristic
+incumbents carry ``source="heuristic"``.
 
-* ``"fast"`` (default) — the optimization layer: a presolve pass
-  (:mod:`repro.milp.presolve`) shrinks the model before the search,
-  **pseudo-cost branching** picks branching variables from observed
-  LP-bound degradations instead of raw fractionality, and the primal
-  heuristics (:mod:`repro.milp.heuristics`) supply early incumbents so
-  pruning bites sooner.  Telemetry gains ``solver.presolve``,
-  ``solver.branching`` and ``solver.heuristic`` events, and heuristic
-  incumbents carry ``source="heuristic"``.
-* ``"classic"`` — the historical search, byte-for-byte: no presolve,
-  most-fractional branching, and the original heuristic event sources
-  (``root_dive`` / ``dive`` / ``rounding``).  Kept as the trusted
-  differential baseline; ``tests/milp/test_differential.py`` pins that
-  both profiles return identical optimal objectives.
-
-Both profiles are exact: they prove optimality through LP bounds and
-differ only in how fast they get there.
+``BranchBoundSolver(profile="classic")`` runs the historical search,
+byte-for-byte: no presolve, most-fractional branching, and the original
+heuristic event sources (``root_dive`` / ``dive`` / ``rounding``).  No
+production path selects it; it is the oracle the differential tests
+(``tests/milp/test_differential.py``), the presolve properties and the
+solver benchmark compare against.  Both searches are exact: they prove
+optimality through LP bounds and differ only in how fast they get
+there.
 
 P#1's overhead objective (:class:`repro.core.formulation.HermesMilp`)
-is the exception under ``fast``: it goes to HiGHS's compiled
-branch-and-cut (:mod:`repro.milp.highs`).  This search keeps the solves
-HiGHS cannot take over as well: the warm-started delta MILP of churn
-replanning (``scipy.optimize.milp`` takes no incumbent), the baselines'
-latency and stage objectives, and every solve under ``classic``.
+goes to HiGHS's compiled branch-and-cut (:mod:`repro.milp.highs`)
+instead.  This search keeps the solves HiGHS cannot take over as well:
+the warm-started delta MILP of churn replanning
+(``scipy.optimize.milp`` takes no incumbent) and the baselines' latency
+and stage objectives.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ from typing import Union
 from repro.milp import heuristics as _heuristics
 from repro.milp.model import Model, Var
 from repro.milp.presolve import PresolveCache, PresolveStatus, presolve
-from repro.milp.profiles import (
-    DEFAULT_PROFILE,
-    PROFILE_CLASSIC,
-    PROFILE_FAST,
-    SOLVER_PROFILES,
-)
 from repro.milp.solution import Solution, SolveStatus
 from repro.telemetry import emit
 
@@ -63,6 +56,11 @@ from repro.telemetry import emit
 #: :class:`Solution` (whose values are remapped by *variable name*, so
 #: an incumbent survives the model being rebuilt between replans).
 WarmStart = Union[Dict[Var, float], Solution]
+
+#: The production search (presolve, pseudo-cost branching, primal
+#: heuristics) and the historical one the tests compare it against.
+PROFILE_FAST = "fast"
+PROFILE_CLASSIC = "classic"
 
 _INT_TOL = 1e-6
 _OBJ_TOL = 1e-9
@@ -208,9 +206,10 @@ class BranchBoundSolver:
             of the incumbent, so OPTIMAL always means proven to that
             tolerance.  :class:`~repro.milp.highs.HighsSolver` passes
             the same default to HiGHS as ``mip_rel_gap``.
-        profile: ``"fast"`` (presolve + pseudo-cost branching + primal
-            heuristics) or ``"classic"`` (the historical search); see
-            the module docstring.
+        profile: :data:`PROFILE_FAST` (presolve + pseudo-cost
+            branching + primal heuristics) or :data:`PROFILE_CLASSIC`
+            (the historical search, a test oracle); see the module
+            docstring.
 
     Telemetry: when a sink is attached via :mod:`repro.telemetry`, the
     solver emits one ``solver.lp`` event per LP relaxation solved, one
@@ -235,14 +234,15 @@ class BranchBoundSolver:
         time_limit_s: float = 300.0,
         node_limit: int = 200_000,
         gap_tolerance: float = 1e-6,
-        profile: str = DEFAULT_PROFILE,
+        profile: str = PROFILE_FAST,
         presolve_cache: Optional[PresolveCache] = None,
     ) -> None:
         if time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if profile not in SOLVER_PROFILES:
+        if profile not in (PROFILE_FAST, PROFILE_CLASSIC):
             raise ValueError(
-                f"profile must be one of {SOLVER_PROFILES}, got {profile!r}"
+                f"profile must be {PROFILE_FAST!r} or {PROFILE_CLASSIC!r}, "
+                f"got {profile!r}"
             )
         self.time_limit_s = time_limit_s
         self.node_limit = node_limit
@@ -710,7 +710,7 @@ class BranchBoundSolver:
 def solve(
     model: Model,
     time_limit_s: float = 300.0,
-    profile: str = DEFAULT_PROFILE,
+    profile: str = PROFILE_FAST,
 ) -> Solution:
     """Convenience wrapper: solve ``model`` with default settings."""
     return BranchBoundSolver(

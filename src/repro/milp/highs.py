@@ -3,10 +3,9 @@
 :class:`HighsSolver` hands a model to ``scipy.optimize.milp``, which
 runs HiGHS's compiled branch-and-cut (presolve, cutting planes, primal
 heuristics and node search in one C++ solve), and maps the result onto
-a :class:`~repro.milp.solution.Solution`.  Under the default ``fast``
-profile it solves P#1's overhead objective
-(:class:`repro.core.formulation.HermesMilp`); every other model stays
-on :class:`~repro.milp.branch_bound.BranchBoundSolver`.
+a :class:`~repro.milp.solution.Solution`.  It solves P#1's overhead
+objective (:class:`repro.core.formulation.HermesMilp`); every other
+model stays on :class:`~repro.milp.branch_bound.BranchBoundSolver`.
 
 ``milp`` takes no initial solution, so a warm start is used the one
 way HiGHS can use it: when it is feasible in the model, its objective

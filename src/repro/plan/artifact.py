@@ -17,16 +17,10 @@ Plans serialize to a canonical, versioned JSON document
 (:meth:`DeploymentPlan.to_dict` / :meth:`DeploymentPlan.from_dict`; see
 :mod:`repro.plan.serialize`) and compare structurally via
 :func:`repro.plan.diff.diff_plans`.
-
-Compatibility: the historical constructor signature
-``DeploymentPlan(tdg, network, placements, routing)`` is unchanged, and
-assigning ``plan.routing`` still works as a deprecated shim for one
-release — new code should use :meth:`with_routing` or a builder.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -125,19 +119,6 @@ class DeploymentPlan:
     def __setattr__(self, name: str, value) -> None:
         if not getattr(self, "_frozen", False) or name in _CACHE_SLOTS:
             object.__setattr__(self, name, value)
-            return
-        if name == "routing":
-            # One-release shim for the historical mutation pattern
-            # ``plan.routing = {...}``; the routing-dependent caches
-            # are invalidated, everything placement-derived survives.
-            warnings.warn(
-                "assigning DeploymentPlan.routing is deprecated; use "
-                "plan.with_routing(...) or a PlanBuilder",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            object.__setattr__(self, "_routing", dict(value))
-            object.__setattr__(self, "_e2e_cache", None)
             return
         raise AttributeError(
             f"DeploymentPlan is immutable; cannot set {name!r} — edit "

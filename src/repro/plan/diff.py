@@ -4,8 +4,9 @@
 and reports what actually changed: which MATs moved to a different
 switch, which were re-staged in place, which appeared/disappeared,
 which switch pairs now exchange different byte totals and which routes
-changed.  This is the artifact :mod:`repro.control.migration` exposes
-to operators — a failure-triggered re-deployment is judged by its
+changed.  This is the artifact the lifecycle reconciler's batch
+outcomes (:class:`repro.runtime.EventOutcome`) expose to operators — a
+failure-triggered re-deployment is judged by its
 disruption (rules to move, routes to replay), not just the scalar
 overhead delta — and what ``repro plan diff`` prints on the CLI.
 """

@@ -50,7 +50,6 @@ Everything interesting is emitted on the :mod:`repro.telemetry` bus as
 
 from __future__ import annotations
 
-import inspect
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -73,12 +72,8 @@ from repro.runtime.state import WorldState
 from repro.runtime.store import PlanStore
 from repro.telemetry import emit
 
-#: A pluggable deployment function: ``(programs, network) -> plan``, or
-#: ``(programs, network, old_plan) -> plan`` for functions that want
-#: the previously active plan (None on the initial deployment) as a
-#: warm start.  The reconciler inspects the signature and calls with
-#: whichever arity the function declares.
-DeployFn = Callable[..., DeploymentPlan]
+#: A pluggable deployment function: ``(programs, network) -> plan``.
+DeployFn = Callable[[Sequence[Program], Network], DeploymentPlan]
 
 #: The escalation rungs an :class:`EventOutcome` can record.
 RUNG_INCREMENTAL = "incremental"
@@ -256,13 +251,10 @@ class Reconciler:
         policy: Replan policies; defaults to
             ``ReconcilerPolicy()`` (no budget, two retries, no
             debounce).
-        deploy_fn: Deployment function ``(programs, network) -> plan``
-            or ``(programs, network, old_plan) -> plan``; defaults to
-            the Hermes heuristic.  Tests inject flaky or slow
-            functions here to exercise the retry and timeout policies
-            deterministically.  Three-argument functions additionally
-            receive the previously active plan (None on the initial
-            deployment) as warm-start material.
+        deploy_fn: Deployment function ``(programs, network) -> plan``;
+            defaults to the Hermes heuristic.  Tests inject flaky or
+            slow functions here to exercise the retry and timeout
+            policies deterministically.
         prepare_fn: Optional hook called with the freshly bound
             :class:`Controller` after the initial deployment, before
             any event is replayed — the place to install runtime rules
@@ -295,7 +287,6 @@ class Reconciler:
             )
             deploy_fn = lambda progs, net: hermes.deploy(progs, net).plan  # noqa: E731
         self.deploy_fn = deploy_fn
-        self._deploy_wants_old_plan = _accepts_old_plan(deploy_fn)
         self._incremental = (
             IncrementalReplanner(self.policy.max_blast_fraction)
             if self.policy.incremental
@@ -314,7 +305,7 @@ class Reconciler:
             events=len(scenario.events),
         )
         plan = self._call_deploy(
-            world.current_programs(), world.current_network(), None
+            world.current_programs(), world.current_network()
         )
         store.append(plan, time_s=0.0, reason="initial")
         controller = Controller(plan)
@@ -462,13 +453,8 @@ class Reconciler:
 
     # ------------------------------------------------------------------
     def _call_deploy(
-        self,
-        programs: Sequence[Program],
-        network: Network,
-        old_plan: Optional[DeploymentPlan],
+        self, programs: Sequence[Program], network: Network
     ) -> DeploymentPlan:
-        if self._deploy_wants_old_plan:
-            return self.deploy_fn(programs, network, old_plan)
         return self.deploy_fn(programs, network)
 
     # ------------------------------------------------------------------
@@ -515,7 +501,7 @@ class Reconciler:
             attempts += 1
             start = _time.perf_counter()
             try:
-                plan = self._call_deploy(programs, network, old_plan)
+                plan = self._call_deploy(programs, network)
             except DeploymentError as exc:
                 last_error = str(exc)
                 emit(
@@ -599,30 +585,3 @@ def seed_rules(
             )
             installed += 1
     return installed
-
-
-def _accepts_old_plan(deploy_fn: DeployFn) -> bool:
-    """Whether ``deploy_fn`` declares a third (old-plan) parameter.
-
-    Two-argument functions predate the warm-start ladder and stay
-    supported; unintrospectable callables get the legacy arity.
-    """
-    try:
-        parameters = inspect.signature(deploy_fn).parameters
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p
-        for p in parameters.values()
-        if p.kind
-        in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    ]
-    if any(
-        p.kind == inspect.Parameter.VAR_POSITIONAL
-        for p in parameters.values()
-    ):
-        return True
-    return len(positional) >= 3

@@ -20,7 +20,7 @@ what the convergence tests assert.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.dataplane.program import Program
 from repro.network.switch import Switch

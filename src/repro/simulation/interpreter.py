@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.core.deployment import DeploymentPlan
 from repro.core.verification import verify_dataflow
 from repro.dataplane.actions import Action, ActionPrimitive
 from repro.dataplane.mat import Mat
+from repro.plan.artifact import DeploymentPlan
 
 
 class MissingMetadataError(RuntimeError):

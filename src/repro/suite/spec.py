@@ -184,7 +184,7 @@ def _parse_frameworks_axis(raw: Any) -> Any:
     if isinstance(raw, dict):
         unknown = set(raw) - {
             "set", "ilp_time_limit_s", "per_program_ilp_time_limit_s",
-            "include_optimal", "solver_profile",
+            "include_optimal",
         }
         if unknown:
             raise SuiteSpecError(

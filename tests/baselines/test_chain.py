@@ -7,11 +7,11 @@ from repro.baselines.base import (
     route_all_pairs,
     schedule_on_chain,
 )
-from repro.core.deployment import DeploymentError, DeploymentPlan
 from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import PathEnumerator
+from repro.plan.artifact import DeploymentError, DeploymentPlan
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 

@@ -5,8 +5,6 @@ import pytest
 from repro.control import Controller, ControllerError
 from repro.core import Hermes
 from repro.dataplane.rules import MatchKind, MatchSpec, Rule
-from repro.network import linear_topology
-from tests.conftest import make_sketch_program
 
 
 @pytest.fixture
@@ -125,14 +123,17 @@ class TestRebind:
 
     def migrated(self, controller):
         """A plan with p0.hash's host failed, forcing it to move."""
-        from repro.control import MigrationPlanner
+        from repro.core.heuristic import GreedyHeuristic
+        from repro.runtime import EventKind, NetworkEvent, WorldState
 
-        victim = controller.plan.switch_of("p0.hash")
-        return (
-            MigrationPlanner()
-            .handle_switch_failure(controller.plan, victim)
-            .new_plan
+        plan = controller.plan
+        world = WorldState(plan.network, [])
+        world.apply(
+            NetworkEvent(
+                1.0, EventKind.SWITCH_FAIL, plan.switch_of("p0.hash")
+            )
         )
+        return GreedyHeuristic().deploy(plan.tdg, world.current_network())
 
     def test_install_migrate_install(self, controller):
         controller.install_rule("p0.hash", self.rule(1))

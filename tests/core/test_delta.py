@@ -10,11 +10,11 @@ import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
 from repro.core.delta import DeltaFormulation, select_delta_candidates
-from repro.core.deployment import DeploymentError
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
+from repro.plan.artifact import DeploymentError
 from repro.plan.splice import splice_plan
 
 

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.deployment import (
-    DeploymentError,
-    DeploymentPlan,
-    MatPlacement,
-)
 from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology
 from repro.network.paths import PathEnumerator
+from repro.plan.artifact import (
+    DeploymentError,
+    DeploymentPlan,
+    MatPlacement,
+)
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 
@@ -186,6 +186,8 @@ class TestMetrics:
         )
         with pytest.raises(AttributeError, match="immutable"):
             plan.placements = {}
+        with pytest.raises(AttributeError, match="immutable"):
+            plan.routing = {}
         with pytest.raises(TypeError):
             plan.placements["a"] = MatPlacement("a", "s1", (1,))
         with pytest.raises(TypeError):
@@ -316,10 +318,9 @@ class TestValidation:
             net=net,
             route=False,
         )
-        with pytest.warns(DeprecationWarning, match="routing"):
-            # The historical mutation pattern still works for one
-            # release, with a warning.
-            plan.routing = {("s0", "s1"): paths.shortest("s1", "s0")}
+        plan = plan.with_routing(
+            {("s0", "s1"): paths.shortest("s1", "s0")}
+        )
         with pytest.raises(DeploymentError, match="runs"):
             plan.validate()
 

@@ -1,11 +1,8 @@
 """Unit tests for the P#1 MILP formulation."""
 
-import math
-
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentError
 from repro.core.formulation import (
     HermesMilp,
     MilpFormulation,
@@ -17,6 +14,7 @@ from repro.core.formulation import (
 from repro.core.heuristic import GreedyHeuristic
 from repro.network.generators import linear_topology
 from repro.network.paths import PathEnumerator
+from repro.plan.artifact import DeploymentError
 from tests.conftest import make_sketch_program
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentError
 from repro.core.formulation import HermesMilp
 from repro.core.formulation_stagewise import StagewiseMilp
 from repro.core.heuristic import GreedyHeuristic
@@ -12,6 +11,7 @@ from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.dataplane.program import Program
 from repro.network.generators import linear_topology
+from repro.plan.artifact import DeploymentError
 from tests.conftest import make_sketch_program
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentError
 from repro.core.heuristic import (
     GreedyHeuristic,
     select_switches,
@@ -14,6 +13,7 @@ from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import PathEnumerator
 from repro.network.switch import Switch
+from repro.plan.artifact import DeploymentError
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 from tests.conftest import make_sketch_program

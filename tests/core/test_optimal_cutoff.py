@@ -13,12 +13,22 @@ import repro.milp.highs as highs
 from repro.core import ProgramAnalyzer
 from repro.core.formulation import HermesMilp
 from repro.core.heuristic import GreedyHeuristic
+from repro.milp.branch_bound import PROFILE_CLASSIC, BranchBoundSolver
 from repro.milp.highs import HighsSolver
 from repro.milp.model import Model
 from repro.milp.solution import SolveStatus
 from repro.network.generators import linear_topology
 from repro.network.paths import PathEnumerator
 from tests.conftest import make_sketch_program
+
+
+class ClassicHermesMilp(HermesMilp):
+    """P#1 on the classic branch & bound, the reference optimum."""
+
+    def _solver(self):
+        return BranchBoundSolver(
+            profile=PROFILE_CLASSIC, time_limit_s=self.time_limit_s
+        )
 
 
 @pytest.fixture
@@ -108,7 +118,7 @@ class TestP1Cutoff:
         plan = formulation.deploy(
             tdg, network, paths, candidates, warm_start_plan=greedy
         )
-        classic = HermesMilp(solver_profile="classic").deploy(
+        classic = ClassicHermesMilp().deploy(
             tdg, network, paths, candidates
         )
         assert formulation.last_solution.status is SolveStatus.OPTIMAL

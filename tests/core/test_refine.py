@@ -10,7 +10,6 @@ from repro.network.generators import linear_topology
 from repro.network.topozoo import topology_zoo_wan
 from repro.workloads.switchp4 import real_programs
 from repro.workloads.synthetic import synthetic_programs
-from tests.conftest import make_sketch_program
 
 
 @pytest.fixture(scope="module")

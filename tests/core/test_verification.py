@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.deployment import DeploymentPlan, MatPlacement
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.verification import (
     DataflowError,
@@ -14,6 +13,7 @@ from repro.dataplane.fields import metadata_field
 from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology
 from repro.network.paths import PathEnumerator
+from repro.plan.artifact import DeploymentPlan, MatPlacement
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 from tests.conftest import make_sketch_program

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataplane.actions import counter_update, hash_compute, modify, no_op
+from repro.dataplane.actions import hash_compute, modify, no_op
 from repro.dataplane.fields import header_field, metadata_field
 from repro.dataplane.mat import (
     Mat,

@@ -14,7 +14,6 @@ from repro.tdg.analysis import annotate_metadata_sizes
 from repro.workloads.sketches import sketch_programs
 from repro.workloads.switchp4 import real_programs
 from repro.workloads.synthetic import synthetic_programs
-from tests.conftest import make_sketch_program
 
 
 def roundtrip(program):

@@ -1,10 +1,7 @@
 """Integration tests: the full pipeline, programs to switch configs."""
 
-import pytest
-
 from repro.baselines import HermesHeuristic, HermesOptimal
 from repro.core import Backend, CoordinationAnalysis, Hermes
-from repro.core.analyzer import ProgramAnalyzer
 from repro.experiments.harness import end_to_end_impact
 from repro.network import fat_tree, linear_topology, topology_zoo_wan
 from repro.workloads import real_programs, sketch_programs, synthetic_programs

@@ -1,20 +1,21 @@
 """Differential oracle suite: fast == classic == HiGHS == brute force.
 
-The ``fast`` solver profile (presolve + pseudo-cost branching + primal
-heuristics) exists to shrink the search, never to change an answer,
-and the HiGHS adapter (:class:`repro.milp.highs.HighsSolver`, which
-solves P#1 under ``fast``) must be exactly as exact.  This suite pins
-that contract four ways:
+The branch & bound's ``fast`` search (presolve + pseudo-cost branching
++ primal heuristics) exists to shrink the search, never to change an
+answer, and the HiGHS adapter (:class:`repro.milp.highs.HighsSolver`,
+which solves P#1) must be exactly as exact.  This suite pins that
+contract four ways:
 
 * On hand-picked golden instances and a seeded stream of random
-  pure-integer models, both profiles and the HiGHS adapter return the
+  pure-integer models, both searches and the HiGHS adapter return the
   exact optimal objective of :func:`milp_testkit.enumerate_oracle` — a
   brute-force enumerator that shares no code with the solvers.
 * Infeasible instances are reported INFEASIBLE by every solver, and
   the adapter maps HiGHS's other stops (unbounded, a limit hit with and
   without an incumbent) onto the matching :class:`SolveStatus`.
-* On seeded P#1 instances, ``Hermes(mode="optimal")`` finds the same
-  A_max with HiGHS as with the classic branch & bound.
+* On seeded P#1 instances, :meth:`HermesMilp.deploy_seeded` finds
+  the same A_max with HiGHS as a test-local subclass whose solver is
+  the classic branch & bound.
 * Presolve's ``lift_values`` round-trips fixed variables verbatim and
   lifted assignments are feasible in the *original* model.
 
@@ -28,8 +29,14 @@ import random
 import pytest
 
 from milp_testkit import enumerate_oracle, random_milp
-from repro.core import Hermes
-from repro.milp.branch_bound import SOLVER_PROFILES, solve
+from repro.core import Hermes, ProgramAnalyzer
+from repro.core.formulation import HermesMilp
+from repro.milp.branch_bound import (
+    PROFILE_CLASSIC,
+    PROFILE_FAST,
+    BranchBoundSolver,
+    solve,
+)
 from repro.milp.expr import LinExpr
 from repro.milp import highs
 from repro.milp.highs import HighsSolver
@@ -37,13 +44,14 @@ from repro.milp.model import Model
 from repro.milp.presolve import PresolveStatus, presolve
 from repro.milp.solution import SolveStatus
 from repro.network.generators import linear_topology, random_wan
+from repro.network.paths import PathEnumerator
 
 FAST_LANE_SEEDS = range(48)
 FULL_SWEEP_SEEDS = range(200)
 
-#: Every exact solver under test: the branch & bound profiles and the
-#: HiGHS adapter.
-SOLVERS = SOLVER_PROFILES + ("highs",)
+#: Every exact solver under test: the branch & bound's two searches and
+#: the HiGHS adapter.
+SOLVERS = (PROFILE_FAST, PROFILE_CLASSIC, "highs")
 
 
 def solve_with(model, solver):
@@ -294,15 +302,28 @@ P1_INSTANCES = {
 }
 
 
+class ClassicHermesMilp(HermesMilp):
+    """P#1 on the classic branch & bound: the oracle HiGHS answers to."""
+
+    def _solver(self):
+        return BranchBoundSolver(
+            profile=PROFILE_CLASSIC, time_limit_s=self.time_limit_s
+        )
+
+
 class TestP1AgreesWithClassic:
     @pytest.mark.parametrize("instance", sorted(P1_INSTANCES))
     def test_same_amax_as_branch_and_bound(self, instance):
-        def amax(profile):
-            programs, network = P1_INSTANCES[instance]()
-            hermes = Hermes(mode="optimal", solver_profile=profile)
-            return hermes.deploy(programs, network).overhead_bytes
+        programs, network = P1_INSTANCES[instance]()
+        tdg = ProgramAnalyzer().analyze(programs)
 
-        assert amax("fast") == amax("classic")
+        def amax(formulation):
+            plan, _timed_out = formulation.deploy_seeded(
+                tdg, network, PathEnumerator(network)
+            )
+            return plan.max_metadata_bytes()
+
+        assert amax(HermesMilp()) == amax(ClassicHermesMilp())
 
     def test_instances_cover_a_nonzero_optimum(self):
         programs, network = P1_INSTANCES["chains2@linear:3"]()

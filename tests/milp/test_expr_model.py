@@ -1,6 +1,5 @@
 """Unit tests for the MILP modeling layer."""
 
-import numpy as np
 import pytest
 
 from repro.milp.expr import LinExpr

@@ -12,7 +12,8 @@ reports one ``solver.incumbent`` and one ``solver.done`` per solve.
 import pytest
 
 from repro.milp.branch_bound import (
-    SOLVER_PROFILES,
+    PROFILE_CLASSIC,
+    PROFILE_FAST,
     BranchBoundSolver,
     solve,
 )
@@ -96,7 +97,7 @@ class TestEventCounts:
 
 
 class TestGapTrajectory:
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", (PROFILE_FAST, PROFILE_CLASSIC))
     @pytest.mark.parametrize(
         "model", [knapsack(), covering()], ids=["knapsack", "covering"]
     )
@@ -113,7 +114,7 @@ class TestGapTrajectory:
         )
         assert all(g >= -1e-9 for g in gaps)
 
-    @pytest.mark.parametrize("profile", SOLVER_PROFILES)
+    @pytest.mark.parametrize("profile", (PROFILE_FAST, PROFILE_CLASSIC))
     def test_gap_monotone_with_near_zero_incumbent(self, profile):
         # The regression this pins: an incumbent objective approaching
         # zero shrinks the relative-gap denominator, which used to

@@ -56,13 +56,13 @@ class TestRandomWan:
     def test_deterministic_per_seed(self):
         a = random_wan(20, 30, seed=5)
         b = random_wan(20, 30, seed=5)
-        assert {l.key for l in a.links} == {l.key for l in b.links}
+        assert {link.key for link in a.links} == {link.key for link in b.links}
         assert a.programmable_names() == b.programmable_names()
 
     def test_different_seeds_differ(self):
         a = random_wan(20, 30, seed=5)
         b = random_wan(20, 30, seed=6)
-        assert {l.key for l in a.links} != {l.key for l in b.links}
+        assert {link.key for link in a.links} != {link.key for link in b.links}
 
     def test_programmable_fraction(self):
         net = random_wan(40, 50, seed=2, programmable_fraction=0.5)
@@ -101,7 +101,7 @@ class TestTopologyZoo:
     def test_deterministic(self):
         a = topology_zoo_wan(4)
         b = topology_zoo_wan(4)
-        assert {l.key for l in a.links} == {l.key for l in b.links}
+        assert {link.key for link in a.links} == {link.key for link in b.links}
 
     def test_rejects_unknown_id(self):
         with pytest.raises(ValueError):

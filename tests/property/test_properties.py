@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -512,10 +511,10 @@ class TestDeploymentExecutability:
     ):
         """Any plan the heuristic emits must verify AND run packets."""
         from repro.core.analyzer import ProgramAnalyzer
-        from repro.core.deployment import DeploymentError
         from repro.core.heuristic import GreedyHeuristic
         from repro.core.verification import verify_dataflow
         from repro.network.generators import linear_topology
+        from repro.plan.artifact import DeploymentError
         from repro.simulation.interpreter import PlanInterpreter
         from repro.workloads.synthetic import (
             SyntheticConfig,
@@ -575,11 +574,12 @@ class TestFailureInjection:
     def test_single_switch_failures_survivable(self, seed, victim_pick):
         """Any single occupied-switch failure on a redundant WAN must
         yield a valid, dataflow-verified re-deployment."""
-        from repro.control import MigrationPlanner
+        from repro.control import compute_moves
         from repro.core.analyzer import ProgramAnalyzer
-        from repro.core.deployment import DeploymentError
         from repro.core.heuristic import GreedyHeuristic
         from repro.core.verification import verify_dataflow
+        from repro.plan.artifact import DeploymentError
+        from repro.runtime import EventKind, NetworkEvent, WorldState
         from repro.workloads.synthetic import (
             SyntheticConfig,
             synthetic_programs,
@@ -595,17 +595,23 @@ class TestFailureInjection:
             assume(False)
         occupied = plan.occupied_switches()
         victim = occupied[victim_pick % len(occupied)]
+        world = WorldState(network, programs)
+        world.apply(NetworkEvent(1.0, EventKind.SWITCH_FAIL, victim))
         try:
-            diff = MigrationPlanner().handle_switch_failure(plan, victim)
+            new_plan = GreedyHeuristic().deploy(
+                tdg, world.current_network()
+            )
         except DeploymentError:
             # The surviving network may genuinely lack capacity or
             # connectivity; that is a legitimate outcome, not a bug.
             assume(False)
-        diff.new_plan.validate()
-        verify_dataflow(diff.new_plan)
-        assert victim not in diff.new_plan.occupied_switches()
-        assert len(diff.moves) + len(diff.unchanged) == len(
-            plan.placements
+        new_plan.validate()
+        verify_dataflow(new_plan)
+        assert victim not in new_plan.occupied_switches()
+        moves, unchanged = compute_moves(plan, new_plan, vanished={victim})
+        assert len(moves) + len(unchanged) == len(plan.placements)
+        assert {m.mat_name for m in moves if m.forced} == set(
+            plan.mats_on(victim)
         )
 
 

@@ -11,19 +11,19 @@ class TestSeedFlag:
     def test_seed_threads_into_wan(self):
         a = parse_topology("wan:10:14", seed=9)
         b = parse_topology("wan:10:14:9")
-        assert sorted(l.key for l in a.links) == sorted(
-            l.key for l in b.links
+        assert sorted(link.key for link in a.links) == sorted(
+            link.key for link in b.links
         )
         c = parse_topology("wan:10:14", seed=10)
-        assert sorted(l.key for l in a.links) != sorted(
-            l.key for l in c.links
+        assert sorted(link.key for link in a.links) != sorted(
+            link.key for link in c.links
         )
 
     def test_spec_seed_wins_over_flag(self):
         pinned = parse_topology("wan:10:14:3", seed=9)
         expected = parse_topology("wan:10:14:3")
-        assert sorted(l.key for l in pinned.links) == sorted(
-            l.key for l in expected.links
+        assert sorted(link.key for link in pinned.links) == sorted(
+            link.key for link in expected.links
         )
 
     def test_seed_threads_into_synthetic(self):

@@ -206,44 +206,3 @@ class TestWarmLadder:
             DisruptionReport.from_dict(doc).incremental_batches
             == report.incremental_batches
         )
-
-
-class TestDeployFnArity:
-    def test_legacy_two_arg_deploy_fn_still_works(
-        self, programs, network
-    ):
-        hermes = Hermes()
-        calls = {"n": 0}
-
-        def legacy(progs, net):
-            calls["n"] += 1
-            return hermes.deploy(progs, net).plan
-
-        scenario = scenario_of(
-            NetworkEvent(1.0, EventKind.WORKLOAD_ADD, "churn0", 42.0)
-        )
-        result = Reconciler(
-            programs, network, deploy_fn=legacy
-        ).run(scenario)
-        assert result.outcomes[0].converged
-        assert calls["n"] == 2  # initial + one replan
-
-    def test_three_arg_deploy_fn_receives_old_plan(
-        self, programs, network
-    ):
-        hermes = Hermes()
-        seen = []
-
-        def warm_aware(progs, net, old_plan):
-            seen.append(old_plan)
-            return hermes.deploy(progs, net).plan
-
-        scenario = scenario_of(
-            NetworkEvent(1.0, EventKind.WORKLOAD_ADD, "churn0", 42.0)
-        )
-        Reconciler(
-            programs, network, deploy_fn=warm_aware
-        ).run(scenario)
-        assert seen[0] is None
-        assert seen[1] is not None
-        assert seen[1].placements

@@ -281,8 +281,10 @@ class TestDebouncePolicy:
         # The link event targets failed switches; replace with a live
         # link from the network to keep the scenario valid.
         link = next(
-            l for l in network.links
-            if l.u not in occupied[:2] and l.v not in occupied[:2]
+            candidate
+            for candidate in network.links
+            if candidate.u not in occupied[:2]
+            and candidate.v not in occupied[:2]
         )
         events = events[:2] + (
             NetworkEvent(

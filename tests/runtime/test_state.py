@@ -28,7 +28,7 @@ class TestApply:
         current = world.current_network()
         assert victim not in current
         assert all(
-            victim not in (l.u, l.v) for l in current.links
+            victim not in (link.u, link.v) for link in current.links
         )
         assert current.num_switches == network.num_switches - 1
 

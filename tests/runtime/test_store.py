@@ -4,30 +4,33 @@ import json
 
 import pytest
 
-from repro.control import MigrationPlanner
 from repro.core import Hermes
 from repro.network.generators import random_wan
 from repro.plan import read_plan
-from repro.runtime import PlanStore
+from repro.runtime import EventKind, NetworkEvent, PlanStore, WorldState
 from tests.conftest import make_sketch_program
 
 
 @pytest.fixture(scope="module")
 def plans():
-    """Three consecutive plans: initial, after a failure, after another."""
+    """Three consecutive plans: initial, after a failure, after another.
+
+    Each failure takes out the latest plan's first host, and the next
+    plan is deployed on the world's network after it.
+    """
     programs = [
         make_sketch_program(f"p{i}", index_bytes=2 + i) for i in range(6)
     ]
     network = random_wan(12, 18, seed=4, num_stages=4)
-    first = Hermes().deploy(programs, network).plan
-    planner = MigrationPlanner()
-    second = planner.handle_switch_failure(
-        first, first.occupied_switches()[0]
-    ).new_plan
-    third = planner.handle_switch_failure(
-        second, second.occupied_switches()[0]
-    ).new_plan
-    return [first, second, third]
+    world = WorldState(network, programs)
+    plans = [Hermes().deploy(programs, network).plan]
+    for time_s in (1.0, 2.0):
+        victim = plans[-1].occupied_switches()[0]
+        world.apply(NetworkEvent(time_s, EventKind.SWITCH_FAIL, victim))
+        plans.append(
+            Hermes().deploy(programs, world.current_network()).plan
+        )
+    return plans
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 from repro.runtime import StoreReloadError
 from repro.server.ops import (
     DEPLOY_DEFAULTS,
+    SIMULATE_DEFAULTS,
     OpError,
     resolve_params,
 )
@@ -26,6 +27,15 @@ class TestResolveParams:
     def test_unknown_keys_rejected(self):
         with pytest.raises(OpError, match="unknown params: bogus"):
             resolve_params({"bogus": 1}, DEPLOY_DEFAULTS)
+
+    @pytest.mark.parametrize(
+        "defaults", [DEPLOY_DEFAULTS, SIMULATE_DEFAULTS]
+    )
+    def test_retired_solver_profile_rejected(self, defaults):
+        # Each MILP job has one production solver; a client still
+        # naming a search profile gets the unknown-param error.
+        with pytest.raises(OpError, match="unknown params: solver_profile"):
+            resolve_params({"solver_profile": "classic"}, defaults)
 
 
 class TestSolveKey:

@@ -42,7 +42,7 @@ class TestContentionVsExact:
     """The headline contract: DES agreement at contention-free load."""
 
     @pytest.mark.parametrize(
-        "label,spec", FAST_CELLS, ids=[l for l, _ in FAST_CELLS]
+        "label,spec", FAST_CELLS, ids=[label for label, _ in FAST_CELLS]
     )
     @pytest.mark.parametrize("load", LOW_LOADS)
     def test_low_load_matches_exact_des(self, label, spec, load):
@@ -56,7 +56,7 @@ class TestContentionVsExact:
                 assert column.max_delta == 0.0, report.summary()
 
     @pytest.mark.parametrize(
-        "label,spec", FAST_CELLS[:2], ids=[l for l, _ in FAST_CELLS[:2]]
+        "label,spec", FAST_CELLS[:2], ids=[label for label, _ in FAST_CELLS[:2]]
     )
     def test_low_load_waits_are_zero(self, label, spec):
         result = ContentionEngine(load=CONTENTION_FREE_LOAD).evaluate(spec)
@@ -78,7 +78,7 @@ class TestFctInflationMonotoneInLoad:
     """Per-flow FCT never decreases as offered load rises."""
 
     @pytest.mark.parametrize(
-        "label,spec", FAST_CELLS[:3], ids=[l for l, _ in FAST_CELLS[:3]]
+        "label,spec", FAST_CELLS[:3], ids=[label for label, _ in FAST_CELLS[:3]]
     )
     def test_per_flow_fct_monotone(self, label, spec):
         loads = (0.05, 0.3, 0.6, 0.9, 1.2)

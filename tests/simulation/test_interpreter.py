@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import Hermes
-from repro.core.deployment import DeploymentPlan, MatPlacement
 from repro.dataplane import (
     Mat,
     Program,
@@ -17,7 +16,8 @@ from repro.dataplane import (
 )
 from repro.dataplane.rules import MatchKind, MatchSpec, Rule
 from repro.network import linear_topology
-from repro.simulation import MissingMetadataError, PlanInterpreter
+from repro.plan.artifact import DeploymentPlan, MatPlacement
+from repro.simulation import PlanInterpreter
 
 HDR = standard_headers()
 
@@ -199,7 +199,6 @@ class TestMissingMetadata:
         # Handcraft a broken plan: reader placed with no channel.
         meta = metadata_field("m.x", 32)
         from repro.dataplane.actions import no_op
-        from repro.tdg.dependencies import DependencyType
         from repro.tdg.graph import Tdg
 
         tdg = Tdg("broken")

@@ -13,7 +13,7 @@ deliberately contains no tests of its own.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.harness import default_frameworks
 from repro.experiments.reporting import Table
@@ -150,11 +150,9 @@ def exp2_cells(
     frameworks=None,
     seed: int = 7,
     ilp_time_limit_s: float = 10.0,
-    solver_profile: Optional[str] = None,
 ):
     """The original Exp#2 cell loop (topology -> framework)."""
     from repro.experiments.runner import Cell
-    from repro.milp.branch_bound import DEFAULT_PROFILE
 
     programs = tuple(exp2_workload(num_programs, seed))
     cells: List[Cell] = []
@@ -168,7 +166,6 @@ def exp2_cells(
                 per_program_ilp_time_limit_s=max(
                     ilp_time_limit_s / 20.0, 0.2
                 ),
-                solver_profile=solver_profile or DEFAULT_PROFILE,
             )
         )
         for framework in sweep_frameworks:

@@ -130,10 +130,13 @@ class TestRunSuite:
         assert warm.cached_cells == warm.num_cells == 2
         assert warm.render() == cold.render()
         assert warm.tables == cold.tables
+
         # identical except the cache flags
-        strip = lambda cells: [
-            {k: v for k, v in c.items() if k != "cached"} for c in cells
-        ]
+        def strip(cells):
+            return [
+                {k: v for k, v in c.items() if k != "cached"} for c in cells
+            ]
+
         assert strip(warm.cells) == strip(cold.cells)
 
     def test_default_aggregator_is_the_pivot(self):

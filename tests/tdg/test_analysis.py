@@ -1,8 +1,6 @@
 """Unit tests for metadata-size analysis (Algorithm 1)."""
 
-import pytest
-
-from repro.dataplane.actions import Action, ActionPrimitive, modify, no_op
+from repro.dataplane.actions import modify, no_op
 from repro.dataplane.fields import header_field, metadata_field
 from repro.dataplane.mat import Mat
 from repro.tdg.analysis import annotate_metadata_sizes, edge_metadata_bytes

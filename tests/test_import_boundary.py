@@ -3,10 +3,9 @@
 Algorithm 2 needs neither numpy nor scipy, yet importing
 ``scipy.optimize`` costs a cold process far more than a heuristic
 deploy does.  ``repro`` therefore imports the MILP solvers, the ILP
-baselines and the daemon when a caller first uses them: the profile
-names live in the scipy-free :mod:`repro.milp.profiles`, and the
-package ``__init__`` modules resolve their solver-backed exports (all
-of ``repro.server``'s) through :func:`repro.lazy.lazy_exports`.
+baselines and the daemon when a caller first uses them: the package
+``__init__`` modules resolve their solver-backed exports (all of
+``repro.server``'s) through :func:`repro.lazy.lazy_exports`.
 
 The checks of what a path loads run in a fresh interpreter, since
 earlier tests in this process have long since imported scipy.
@@ -98,8 +97,6 @@ EXPORTS = {
         "repro.core.backend": "Backend SwitchConfig",
         "repro.core.coordination": "CoordinationAnalysis MetadataChannel",
         "repro.core.delta": "DeltaFormulation select_delta_candidates",
-        "repro.core.deployment": "DeploymentError DeploymentPlan "
-        "MatPlacement",
         "repro.core.explain": "OverheadReport explain_overhead",
         "repro.core.formulation": "HermesMilp MilpFormulation",
         "repro.core.formulation_stagewise": "StagewiseMilp",
@@ -110,6 +107,8 @@ EXPORTS = {
         "repro.core.stages": "StageAssignmentError assign_stages",
         "repro.core.verification": "DataflowError DataflowReport "
         "verify_dataflow",
+        "repro.plan.artifact": "DeploymentError DeploymentPlan "
+        "MatPlacement",
     },
     "repro.milp": {
         "repro.milp.branch_bound": "BranchBoundSolver solve",
@@ -118,7 +117,6 @@ EXPORTS = {
         "repro.milp.model": "Constraint Model Sense Var VarType",
         "repro.milp.presolve": "PresolveCache PresolveStats "
         "PresolveStatus PresolvedModel model_signature presolve",
-        "repro.milp.profiles": "DEFAULT_PROFILE SOLVER_PROFILES",
         "repro.milp.solution": "Solution SolveStatus",
     },
     "repro.baselines": {
