@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.stages import StageAssignmentError, assign_stages
 from repro.milp.expr import LinExpr
-from repro.milp.model import Model, Var
+from repro.milp.model import Model, Sense, Var
 from repro.milp.branch_bound import BranchBoundSolver
 from repro.milp.highs import HighsSolver
 from repro.milp.solution import Solution, SolveStatus
@@ -45,6 +45,9 @@ from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
 from repro.tdg.graph import Tdg
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Objectives selectable as the primary objective (the other two become
 #: epsilon-constraints per §V-B).
@@ -120,6 +123,13 @@ def select_candidates(
     return chosen
 
 
+#: The zero right-hand side :meth:`Model.add_constr` stores for a row
+#: written without a constant (``occ >= L``): minus the expression's
+#: constant 0.0, which is -0.0.  The blocks below use it, so they export
+#: the same bytes as rows added one expression at a time.
+_ZERO_RHS = -0.0
+
+
 @dataclass
 class _ModelHandles:
     """Variables the decoder needs after solving."""
@@ -128,10 +138,57 @@ class _ModelHandles:
     placement: Dict[Tuple[str, str], Var]  # (mat, switch) -> L
     occupied: Dict[str, Var]
     a_max: Optional[Var]
-    t_e2e: Optional[LinExpr]
     path_choice: Dict[Tuple[str, str, int], Var]
     candidates: List[str]
     products: Dict[Tuple[str, str, str, str], Var] = None  # z linearizations
+
+
+def _entries(*terms) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """COO ``(rows, cols, coefs)`` of a row block, from its terms.
+
+    Each term is a ``(rows, cols, coefs)`` triple whose parts broadcast
+    to one shape, giving one entry per element.
+    """
+    import numpy as np
+
+    shapes = [np.broadcast(*term).shape for term in terms]
+    total = sum(math.prod(shape) for shape in shapes)
+    out = (
+        np.empty(total, dtype=int),
+        np.empty(total, dtype=int),
+        np.empty(total),
+    )
+    start = 0
+    for term, shape in zip(terms, shapes):
+        end = start + math.prod(shape)
+        for array, part in zip(out, term):
+            array[start:end].reshape(shape)[...] = part
+        start = end
+    return out
+
+
+def _mat_columns(edges, mat_index, col_l, pair_u, pair_v):
+    """``L(a, u)`` and ``L(b, v)`` columns per edge ``(a, b)`` (rows)
+    and ordered candidate pair ``(u, v)`` (columns)."""
+    import numpy as np
+
+    up = np.array([mat_index[e.upstream] for e in edges], dtype=int)
+    down = np.array([mat_index[e.downstream] for e in edges], dtype=int)
+    return col_l[up[:, None], pair_u], col_l[down[:, None], pair_v]
+
+
+def _capacity_terms(tdg, network, mats, cand, col_l):
+    """The ``sum_a demand(a) * L(a, u)`` term of one row per candidate
+    ``u``, and each candidate's capacity."""
+    import numpy as np
+
+    demand = np.array(
+        [tdg.node(a).resource_demand for a in mats], dtype=float
+    )
+    capacity = np.array(
+        [network.switch(u).total_capacity for u in cand], dtype=float
+    )
+    return (np.arange(len(cand)), col_l, demand[:, None]), capacity
 
 
 class MilpFormulation:
@@ -194,6 +251,15 @@ class MilpFormulation:
         paths: PathEnumerator,
         candidates: Optional[Sequence[str]] = None,
     ) -> _ModelHandles:
+        """Emit P#1 over the candidate switches, one block per family.
+
+        Columns, in order: ``L(a, u)`` MAT-major, ``occ(u)``, the ``z``
+        products (metadata edges first; edge-major over the ordered
+        candidate pairs), the columns of :meth:`_explicit_paths`, and
+        ``A_max``.  Rows follow in the order of the comments below.
+        """
+        import numpy as np
+
         cand = list(
             candidates
             if candidates is not None
@@ -203,153 +269,253 @@ class MilpFormulation:
         )
         model = Model("P1")
         mats = tdg.node_names
+        mat_index = {a: i for i, a in enumerate(mats)}
 
-        placement: Dict[Tuple[str, str], Var] = {}
-        for a in mats:
-            for u in cand:
-                placement[(a, u)] = model.add_binary(f"L[{a},{u}]")
+        keys = [(a, u) for a in mats for u in cand]
+        placement = dict(
+            zip(keys, model.add_binaries([f"L[{a},{u}]" for a, u in keys]))
+        )
+        col_l = np.arange(len(keys)).reshape(len(mats), len(cand))
 
         # Node deployment (Eq. 6, tightened to exactly-one).
-        for a in mats:
-            model.add_constr(
-                LinExpr.total(placement[(a, u)] for u in cand) == 1,
-                name=f"place[{a}]",
+        model.add_rows(
+            Sense.EQ,
+            *_entries((np.arange(len(mats))[:, None], col_l, 1.0)),
+            np.ones(len(mats)),
+            names=[f"place[{a}]" for a in mats],
+        )
+
+        # Aggregate switch resource limitation (Eq. 9 at switch level),
+        # each switch's optional MAT cap right after its capacity row.
+        load, capacity = _capacity_terms(tdg, network, mats, cand, col_l)
+        if self.max_mats_per_switch is None:
+            model.add_rows(
+                Sense.LE,
+                *_entries(load),
+                capacity,
+                names=[f"cap[{u}]" for u in cand],
+            )
+        else:
+            switch, _cols, demand = load
+            cap = float(self.max_mats_per_switch)
+            model.add_rows(
+                Sense.LE,
+                *_entries(
+                    (2 * switch, col_l, demand), (2 * switch + 1, col_l, 1.0)
+                ),
+                np.column_stack([capacity, np.full(len(cand), cap)]).ravel(),
+                names=[n for u in cand for n in (f"cap[{u}]", f"mats[{u}]")],
             )
 
-        # Aggregate switch resource limitation (Eq. 9 at switch level).
-        for u in cand:
-            switch = network.switch(u)
-            load = LinExpr.total(
-                placement[(a, u)] * tdg.node(a).resource_demand for a in mats
-            )
-            model.add_constr(load <= switch.total_capacity, name=f"cap[{u}]")
-            if self.max_mats_per_switch is not None:
-                count = LinExpr.total(placement[(a, u)] for a in mats)
-                model.add_constr(
-                    count <= self.max_mats_per_switch, name=f"mats[{u}]"
-                )
-
-        # Occupied-switch indicators and bound (Eq. 5).
-        occupied: Dict[str, Var] = {}
-        for u in cand:
-            occ = model.add_binary(f"occ[{u}]")
-            occupied[u] = occ
-            for a in mats:
-                model.add_constr(occ >= placement[(a, u)])
-        q_occ = LinExpr.total(occupied.values())
+        # Occupied-switch indicators, occ(u) >= L(a, u) switch-major,
+        # and their bound (Eq. 5).
+        col_occ = model.num_vars + np.arange(len(cand))
+        occupied = dict(
+            zip(cand, model.add_binaries([f"occ[{u}]" for u in cand]))
+        )
+        occ_row = np.arange(col_l.size).reshape(len(cand), len(mats)).T
+        model.add_rows(
+            Sense.GE,
+            *_entries((occ_row, col_occ, 1.0), (occ_row, col_l, -1.0)),
+            np.full(occ_row.size, _ZERO_RHS),
+        )
         if self.epsilon2 is not None:
-            model.add_constr(q_occ <= self.epsilon2, name="eps2")
+            model.add_rows(
+                Sense.LE,
+                *_entries((0, col_occ, 1.0)),
+                [float(self.epsilon2)],
+                names=["eps2"],
+            )
 
-        # Cross-placement products per metadata edge and switch pair.
+        # Cross-placement products z(a, b, u, v) >= L(a, u) + L(b, v) - 1
+        # per metadata edge and ordered candidate pair; the latency terms
+        # without explicit paths need them on every other edge too.
         meta_edges = [e for e in tdg.edges if e.metadata_bytes > 0]
         need_latency = (
             self.objective == OBJECTIVE_LATENCY
             or not math.isinf(self.epsilon1)
         )
-        latency_edges = tdg.edges if need_latency else meta_edges
-
-        pair_terms: Dict[Tuple[str, str], List[LinExpr]] = {}
-        latency_terms: List[LinExpr] = []
-        z_cache: Dict[Tuple[str, str, str, str], Var] = {}
-
-        def product(a: str, b: str, u: str, v: str) -> Var:
-            key = (a, b, u, v)
-            var = z_cache.get(key)
-            if var is None:
-                var = model.add_binary(f"z[{a},{b},{u},{v}]")
-                model.add_constr(
-                    var >= placement[(a, u)] + placement[(b, v)] - 1
-                )
-                z_cache[key] = var
-            return var
-
-        for edge in meta_edges:
-            for u in cand:
-                for v in cand:
-                    if u == v:
-                        continue
-                    z = product(edge.upstream, edge.downstream, u, v)
-                    pair_terms.setdefault((u, v), []).append(
-                        LinExpr.from_term(z, float(edge.metadata_bytes))
-                    )
-
-        shortest_latency: Dict[Tuple[str, str], float] = {}
-        for u in cand:
-            for v in cand:
-                if u == v:
-                    continue
-                path = paths.shortest(u, v)
-                shortest_latency[(u, v)] = (
-                    path.latency_us if path else math.inf
-                )
-
-        path_choice: Dict[Tuple[str, str, int], Var] = {}
+        pairs = [(u, v) for u in cand for v in cand if u != v]
+        pair_u, pair_v = np.nonzero(~np.eye(len(cand), dtype=bool))
+        z_edges = list(meta_edges)
         if need_latency and not self.explicit_paths:
-            for edge in latency_edges:
-                for u in cand:
-                    for v in cand:
-                        if u == v:
-                            continue
-                        z = product(edge.upstream, edge.downstream, u, v)
-                        latency_terms.append(
-                            LinExpr.from_term(z, shortest_latency[(u, v)])
-                        )
-        elif need_latency and self.explicit_paths:
-            # Pair-level crossing indicators and path choice (Eq. 7).
-            for u in cand:
-                for v in cand:
-                    if u == v:
-                        continue
-                    crossing = model.add_binary(f"w[{u},{v}]")
-                    for edge in latency_edges:
-                        z = product(edge.upstream, edge.downstream, u, v)
-                        model.add_constr(crossing >= z)
-                    pair_paths = paths.paths(u, v)
-                    if not pair_paths:
-                        # Unreachable pair: forbid any crossing.
-                        model.add_constr(crossing <= 0)
-                        continue
-                    choices = []
-                    for idx, path in enumerate(pair_paths):
-                        y = model.add_binary(f"y[{u},{v},{idx}]")
-                        path_choice[(u, v, idx)] = y
-                        choices.append(y)
-                        latency_terms.append(
-                            LinExpr.from_term(y, path.latency_us)
-                        )
-                    model.add_constr(
-                        LinExpr.total(choices) >= LinExpr.from_term(crossing)
-                    )
+            z_edges += [e for e in tdg.edges if e.metadata_bytes <= 0]
+        z_keys = [
+            (e.upstream, e.downstream) + uv for e in z_edges for uv in pairs
+        ]
+        tails = [f"{u},{v}]" for u, v in pairs]
+        z_names = [
+            f"z[{e.upstream},{e.downstream}," + tail
+            for e in z_edges
+            for tail in tails
+        ]
+        col_z0 = model.num_vars
+        products = dict(zip(z_keys, model.add_binaries(z_names)))
+        z_row = np.arange(len(z_keys)).reshape(len(z_edges), len(pairs))
+        col_z = col_z0 + z_row
+        col_au, col_bv = _mat_columns(
+            z_edges, mat_index, col_l, pair_u, pair_v
+        )
+        model.add_rows(
+            Sense.GE,
+            *_entries(
+                (z_row, col_z, 1.0),
+                (z_row, col_au, -1.0),
+                (z_row, col_bv, -1.0),
+            ),
+            np.full(z_row.size, -1.0),
+        )
 
-        t_e2e = LinExpr.total(latency_terms) if latency_terms else None
-        if t_e2e is not None and not math.isinf(self.epsilon1):
-            model.add_constr(t_e2e <= self.epsilon1, name="eps1")
+        # Latency terms t_e2e and their bound (Eq. 4): each product
+        # weighted by its pair's shortest-path latency, or Eq. 7's path
+        # choices.
+        path_choice: Dict[Tuple[str, str, int], Var] = {}
+        latency_cols = latency = np.zeros(0)
+        if need_latency and not self.explicit_paths:
+            shortest = [paths.shortest(u, v) for u, v in pairs]
+            latency_cols = col_z.ravel()
+            latency = np.tile(
+                [p.latency_us if p else math.inf for p in shortest],
+                len(z_edges),
+            )
+        elif need_latency:
+            latency_cols, latency = self._explicit_paths(
+                model, tdg, paths, pairs,
+                _mat_columns(tdg.edges, mat_index, col_l, pair_u, pair_v),
+                col_z0, products, path_choice,
+            )
+        if len(latency_cols) and not math.isinf(self.epsilon1):
+            model.add_rows(
+                Sense.LE,
+                *_entries((0, latency_cols, latency)),
+                [self.epsilon1],
+                names=["eps1"],
+            )
 
+        # A_max >= the metadata bytes each ordered pair exchanges.
         a_max: Optional[Var] = None
-        if self.objective == OBJECTIVE_OVERHEAD or pair_terms:
+        if self.objective == OBJECTIVE_OVERHEAD or (meta_edges and pairs):
             a_max = model.add_var("A_max", lb=0.0)
-            for pair, terms in pair_terms.items():
-                model.add_constr(
-                    a_max >= LinExpr.total(terms), name=f"amax[{pair}]"
-                )
+        if meta_edges and pairs:
+            pair_row = np.arange(len(pairs))
+            meta_bytes = np.array(
+                [float(e.metadata_bytes) for e in meta_edges]
+            )
+            model.add_rows(
+                Sense.GE,
+                *_entries(
+                    (pair_row, a_max.index, 1.0),
+                    (pair_row, col_z[: len(meta_edges)], -meta_bytes[:, None]),
+                ),
+                np.full(len(pairs), _ZERO_RHS),
+                names=[f"amax[{pair}]" for pair in pairs],
+            )
 
         if self.objective == OBJECTIVE_OVERHEAD:
-            model.minimize(a_max if a_max is not None else LinExpr())
+            model.minimize(a_max)
         elif self.objective == OBJECTIVE_LATENCY:
-            model.minimize(t_e2e if t_e2e is not None else LinExpr())
+            terms = zip(latency_cols.astype(int).tolist(), latency.tolist())
+            model.minimize(LinExpr({model.variables[i]: c for i, c in terms}))
         else:
-            model.minimize(q_occ)
+            model.minimize(LinExpr(dict.fromkeys(occupied.values(), 1.0)))
 
         return _ModelHandles(
             model=model,
             placement=placement,
             occupied=occupied,
             a_max=a_max,
-            t_e2e=t_e2e,
             path_choice=path_choice,
             candidates=cand,
-            products=z_cache,
+            products=products,
         )
+
+    @staticmethod
+    def _explicit_paths(
+        model: Model,
+        tdg: Tdg,
+        paths: PathEnumerator,
+        pairs: List[Tuple[str, str]],
+        mat_columns: Tuple["np.ndarray", "np.ndarray"],
+        col_z0: int,
+        products: Dict[Tuple[str, str, str, str], Var],
+        path_choice: Dict[Tuple[str, str, int], Var],
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Pair-level crossing indicators and path choice (Eq. 7).
+
+        Each ordered pair gets the columns ``w(u, v)``, a product ``z``
+        per edge without metadata, and ``y(u, v, i)`` per enumerated
+        path.  Its rows, per edge in TDG order, are that product's row
+        and ``w >= z``; then ``sum_i y >= w``, or ``w <= 0`` when the
+        pair has no path.  ``mat_columns`` are :func:`_mat_columns` of
+        the TDG's edges, and the metadata edges' products start at
+        column ``col_z0``.  Fills ``products`` and ``path_choice``;
+        returns the ``y`` columns and their path latencies.
+        """
+        import numpy as np
+
+        edges = tdg.edges
+        # "Plain" edges carry no metadata, so the block at col_z0 has no
+        # products for them; each pair adds its own here.
+        plain = np.array([e.metadata_bytes <= 0 for e in edges], dtype=bool)
+        plain_edges = [e for e in edges if e.metadata_bytes <= 0]
+        pair_paths = [paths.paths(u, v) for u, v in pairs]
+
+        names: List[str] = []
+        for (u, v), options in zip(pairs, pair_paths):
+            names.append(f"w[{u},{v}]")
+            names += [
+                f"z[{e.upstream},{e.downstream},{u},{v}]" for e in plain_edges
+            ]
+            names += [f"y[{u},{v},{i}]" for i in range(len(options))]
+        columns = iter(model.add_binaries(names))
+        col_w = []
+        for (u, v), options in zip(pairs, pair_paths):
+            col_w.append(next(columns).index)
+            for e in plain_edges:
+                products[(e.upstream, e.downstream, u, v)] = next(columns)
+            for i in range(len(options)):
+                path_choice[(u, v, i)] = next(columns)
+        col_w = np.array(col_w, dtype=int)
+        col_y = np.array([y.index for y in path_choice.values()], dtype=int)
+
+        # Pair-major rows: per edge, a plain edge's product row, then
+        # the edge's w row; the closing row last.  A plain edge's
+        # product column follows its pair's w; a metadata edge's lies in
+        # the block starting at col_z0, edge-major.
+        pair = np.arange(len(pairs))[:, None]
+        per_pair = len(edges) + len(plain_edges) + 1
+        plain_rank = np.cumsum(plain)
+        w_row = pair * per_pair + np.arange(len(edges)) + plain_rank
+        col_z = np.where(
+            plain,
+            col_w[:, None] + plain_rank,
+            col_z0 + (np.cumsum(~plain) - 1) * len(pairs) + pair,
+        )
+        z_row = w_row[:, plain] - 1
+        col_au, col_bv = (c.T[:, plain] for c in mat_columns)
+        num_paths = np.array([len(p) for p in pair_paths], dtype=int)
+        last_row = (pair[:, 0] + 1) * per_pair - 1
+        reachable = num_paths > 0
+        senses = [Sense.GE] * (len(pairs) * per_pair)
+        for row in last_row[~reachable].tolist():
+            senses[row] = Sense.LE
+        rhs = np.full(len(senses), _ZERO_RHS)
+        rhs[z_row] = -1.0
+        model.add_rows(
+            senses,
+            *_entries(
+                (z_row, col_z[:, plain], 1.0),
+                (z_row, col_au, -1.0),
+                (z_row, col_bv, -1.0),
+                (w_row, col_w[:, None], 1.0),
+                (w_row, col_z, -1.0),
+                (np.repeat(last_row, num_paths), col_y, 1.0),
+                (last_row, col_w, np.where(reachable, -1.0, 1.0)),
+            ),
+            rhs,
+        )
+        latency = [p.latency_us for options in pair_paths for p in options]
+        return col_y, np.array(latency, dtype=float)
 
     # ------------------------------------------------------------------
     # Solve + decode
@@ -449,19 +615,21 @@ class MilpFormulation:
         network: Network,
         shrink: float,
     ) -> None:
-        """Rebuild the capacity rows with shrunken budgets."""
-        model = handles.model
-        mats = tdg.node_names
-        for u in handles.candidates:
-            switch = network.switch(u)
-            load = LinExpr.total(
-                handles.placement[(a, u)] * tdg.node(a).resource_demand
-                for a in mats
-            )
-            model.add_constr(
-                load <= switch.total_capacity * shrink,
-                name=f"cap_shrunk[{u}]",
-            )
+        """Add capacity rows with shrunken budgets."""
+        import numpy as np
+
+        mats, cand = tdg.node_names, handles.candidates
+        col_l = np.array(
+            [handles.placement[(a, u)].index for a in mats for u in cand],
+            dtype=int,
+        ).reshape(len(mats), len(cand))
+        load, capacity = _capacity_terms(tdg, network, mats, cand, col_l)
+        handles.model.add_rows(
+            Sense.LE,
+            *_entries(load),
+            capacity * shrink,
+            names=[f"cap_shrunk[{u}]" for u in cand],
+        )
 
     def _decode(
         self,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.milp.expr import LinExpr
-from repro.milp.model import Constraint, Model, Sense, Var
+from repro.milp.model import Model, Sense, Var
 from repro.telemetry import emit
 
 #: Integrality tolerance shared with the branch & bound solver.
@@ -190,13 +190,9 @@ def model_signature(model: Model) -> str:
         digest.update(
             f"v|{var.name}|{var.var_type.value}|{var.lb!r}|{var.ub!r}\n".encode()
         )
-    for constraint in model.constraints:
-        row = sorted(
-            (var.index, coef)
-            for var, coef in constraint.expr.coefs.items()
-        )
+    for row in model.rows():
         digest.update(
-            f"c|{constraint.sense.value}|{constraint.expr.constant!r}|{row!r}\n".encode()
+            f"c|{row.sense.value}|{row.rhs!r}|{row.cols!r}|{row.coefs!r}\n".encode()
         )
     objective = sorted(
         (var.index, coef) for var, coef in model.objective.coefs.items()
@@ -278,18 +274,17 @@ class _Reduction:
         self.fixed: Dict[int, float] = {}
         self.stats = PresolveStats()
         self.rows: List[_Row] = []
-        for constraint in model.constraints:
+        for row in model.rows():
             coefs = {
-                var.index: coef
-                for var, coef in constraint.expr.coefs.items()
+                idx: coef
+                for idx, coef in zip(row.cols, row.coefs)
                 if coef != 0.0
             }
-            rhs = -constraint.expr.constant
-            if constraint.sense is Sense.GE:
+            if row.sense is Sense.GE:
                 coefs = {i: -c for i, c in coefs.items()}
-                self.rows.append((coefs, Sense.LE, -rhs))
+                self.rows.append((coefs, Sense.LE, -row.rhs))
             else:
-                self.rows.append((coefs, constraint.sense, rhs))
+                self.rows.append((coefs, row.sense, row.rhs))
 
     # ------------------------------------------------------------------
     def tighten(
@@ -376,7 +371,7 @@ def presolve(model: Model, max_rounds: int = 10) -> PresolvedModel:
             reduced_vars=(
                 reduced_model.num_vars if reduced_model is not None else 0
             ),
-            constraints=len(model.constraints),
+            constraints=model.num_constraints,
             reduced_constraints=(
                 reduced_model.num_constraints
                 if reduced_model is not None
@@ -526,11 +521,23 @@ def presolve(model: Model, max_rounds: int = 10) -> PresolvedModel:
             ub=red.ubs[var.index],
             var_type=var.var_type,
         )
-    index_map = {var.index: var_map[var] for var in free}
+    column = {var.index: var_map[var].index for var in free}
 
-    for coefs, sense, rhs in red.rows:
-        expr = LinExpr({index_map[i]: c for i, c in coefs.items()}, -rhs)
-        reduced.constraints.append(Constraint(expr, sense))
+    rows: List[int] = []
+    cols: List[int] = []
+    values: List[float] = []
+    for row, (coefs, _sense, _rhs) in enumerate(red.rows):
+        for i, coef in coefs.items():
+            rows.append(row)
+            cols.append(column[i])
+            values.append(coef)
+    reduced.add_rows(
+        [sense for _coefs, sense, _rhs in red.rows],
+        rows,
+        cols,
+        values,
+        [rhs for _coefs, _sense, rhs in red.rows],
+    )
 
     objective = LinExpr(
         {

@@ -86,13 +86,13 @@ class TestBuild:
     def test_epsilon2_constraint_present(self, six_tdg, line4):
         paths = PathEnumerator(line4)
         handles = MilpFormulation(epsilon2=2).build(six_tdg, line4, paths)
-        names = {c.name for c in handles.model.constraints if c.name}
+        names = {row.name for row in handles.model.rows() if row.name}
         assert "eps2" in names
 
     def test_epsilon1_constraint_present(self, six_tdg, line4):
         paths = PathEnumerator(line4)
         handles = MilpFormulation(epsilon1=1e9).build(six_tdg, line4, paths)
-        names = {c.name for c in handles.model.constraints if c.name}
+        names = {row.name for row in handles.model.rows() if row.name}
         assert "eps1" in names
 
     def test_mats_cap_constraint(self, six_tdg, line4):
@@ -100,7 +100,7 @@ class TestBuild:
         handles = MilpFormulation(max_mats_per_switch=5).build(
             six_tdg, line4, paths
         )
-        names = {c.name for c in handles.model.constraints if c.name}
+        names = {row.name for row in handles.model.rows() if row.name}
         assert any(n.startswith("mats[") for n in names)
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the MILP modeling layer."""
 
+import numpy as np
 import pytest
 
 from repro.milp.expr import LinExpr
 from repro.milp.model import Constraint, Model, Sense, VarType
+from repro.milp.presolve import PresolveCache, model_signature, presolve
 
 
 @pytest.fixture
@@ -126,6 +128,30 @@ class TestModel:
         model.minimize(3 * x + 2)
         assert model.objective_value({x: 2.0}) == pytest.approx(8.0)
 
+    def test_add_binaries_is_one_contiguous_block(self, model):
+        model.add_var("y")
+        block = model.add_binaries(["a", "b", "c"])
+        assert [v.index for v in block] == [1, 2, 3]
+        assert all(v.var_type is VarType.BINARY for v in block)
+        assert [(v.lb, v.ub) for v in block] == [(0.0, 1.0)] * 3
+        assert model.var("b") is block[1]
+
+    def test_add_binaries_rejects_duplicate_names(self, model):
+        model.add_var("x")
+        with pytest.raises(ValueError, match="duplicate variable name 'x'"):
+            model.add_binaries(["a", "x"])
+        with pytest.raises(ValueError, match="duplicate variable name 'b'"):
+            model.add_binaries(["b", "c", "b"])
+        assert model.num_vars == 1  # a rejected block adds nothing
+
+    def test_num_constraints_counts_block_rows(self, model):
+        x, y = model.add_binaries(["x", "y"])
+        model.add_constr(x + y <= 1)
+        model.add_rows(
+            Sense.GE, [0, 1, 2], [0, 1, 0], [1.0, 1.0, 2.0], [0.5] * 3
+        )
+        assert model.num_constraints == 4
+
 
 class TestToArrays:
     def test_sparse_export_shapes(self, model):
@@ -156,3 +182,146 @@ class TestToArrays:
         c, a_ub, b_ub, a_eq, b_eq, _bounds = model.to_arrays()
         assert a_ub is None and b_ub is None
         assert a_eq is None and b_eq is None
+
+    def test_interleaved_rows_keep_insertion_order(self, model):
+        x, y = model.add_binaries(["x", "y"])
+        model.add_constr(x + y <= 2)  # ub 0
+        model.add_rows(
+            [Sense.GE, Sense.EQ, Sense.LE],  # ub 1, eq 0, ub 2
+            [0, 1, 1, 2],
+            [0, 0, 1, 1],
+            [3.0, 1.0, 1.0, 4.0],
+            [1.0, 1.0, 5.0],
+        )
+        model.add_constr(x - y == 0)  # eq 1
+        model.add_rows(Sense.GE, [0, 0], [1, 0], [2.0, 1.0], [-3.0])  # ub 3
+        _c, a_ub, b_ub, a_eq, b_eq, _bounds = model.to_arrays()
+        assert a_ub.toarray().tolist() == [
+            [1.0, 1.0],
+            [-3.0, 0.0],  # GE flipped
+            [0.0, 4.0],
+            [-1.0, -2.0],  # GE flipped
+        ]
+        assert b_ub.tolist() == [2.0, -1.0, 5.0, 3.0]
+        assert a_eq.toarray().tolist() == [[1.0, 1.0], [1.0, -1.0]]
+        assert b_eq.tolist() == [1.0, 0.0]
+
+
+def _rows_one_by_one():
+    """A small MILP built one expression at a time."""
+    model = Model("m")
+    x = model.add_binaries(["x0", "x1", "x2", "x3"])
+    y = model.add_var("y", 0, 10)
+    model.add_constr(x[0] + 2 * x[1] + 3 * y <= 4, name="cap")
+    model.add_constr(x[2] - x[3] >= -0.5, name="order")
+    model.add_constr(x[0] + x[1] + x[2] + x[3] == 2, name="pick")
+    model.add_constr(y - 2 * x[0] >= -1.5)
+    model.maximize(3 * x[0] + 2 * x[1] + x[2] + y)
+    return model
+
+
+def _rows_as_block():
+    """The same MILP with all four rows in one block, entries shuffled
+    and one coefficient entered in two parts."""
+    model = Model("m")
+    x = model.add_binaries(["x0", "x1", "x2", "x3"])
+    y = model.add_var("y", 0, 10)
+    model.add_rows(
+        [Sense.LE, Sense.GE, Sense.EQ, Sense.GE],
+        [3, 0, 2, 1, 0, 2, 3, 2, 0, 1, 2, 0],
+        [4, 4, 3, 2, 1, 0, 0, 1, 0, 3, 2, 4],
+        [1.0, 1.0, 1.0, 1.0, 2.0, 1.0, -2.0, 1.0, 1.0, -1.0, 1.0, 2.0],
+        [4.0, -0.5, 2.0, -1.5],
+        names=["cap", "order", "pick", None],
+    )
+    model.maximize(3 * x[0] + 2 * x[1] + x[2] + y)
+    return model
+
+
+class TestRowBlocks:
+    def test_same_export(self):
+        one, block = _rows_one_by_one(), _rows_as_block()
+        for left, right in zip(one.to_arrays(), block.to_arrays()):
+            if hasattr(left, "toarray"):
+                left, right = left.toarray(), right.toarray()
+            assert np.array_equal(left, right)
+
+    def test_same_rows_read_back(self):
+        one, block = _rows_one_by_one(), _rows_as_block()
+        assert list(one.rows()) == list(block.rows())
+        first = next(block.rows())
+        assert first.name == "cap" and first.sense is Sense.LE
+        assert first.cols == [0, 1, 4]  # ascending; y's 1.0 + 2.0 summed
+        assert first.coefs == [1.0, 2.0, 3.0]
+
+    def test_same_signature_shares_presolve(self):
+        one, block = _rows_one_by_one(), _rows_as_block()
+        assert model_signature(one) == model_signature(block)
+        cache = PresolveCache()
+        cache.fetch(one)
+        cache.fetch(block)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_same_presolve(self):
+        one, block = presolve(_rows_one_by_one()), presolve(_rows_as_block())
+        assert one.status == block.status
+        assert one.stats == block.stats
+        assert {v.name: x for v, x in one.fixed.items()} == {
+            v.name: x for v, x in block.fixed.items()
+        }
+        for left, right in zip(one.model.to_arrays(), block.model.to_arrays()):
+            if hasattr(left, "toarray"):
+                left, right = left.toarray(), right.toarray()
+            assert np.array_equal(left, right)
+
+    @pytest.mark.parametrize(
+        "point, feasible",
+        [
+            ((1, 0, 1, 0, 0.5), True),
+            ((0, 1, 1, 0, 0.0), True),
+            ((0, 0, 1, 1, 0.0), True),
+            ((0, 1, 0, 1, 0.0), False),  # violates only "order"
+            ((1, 1, 0, 0, 0.0), False),  # violates only the unnamed row
+            ((1, 0, 1, 0, 2.0), False),  # violates only "cap"
+            ((1, 0, 0, 0, 0.0), False),  # violates "pick" and the last
+        ],
+    )
+    def test_same_feasibility(self, point, feasible):
+        for model in (_rows_one_by_one(), _rows_as_block()):
+            assignment = dict(zip(model.variables, point))
+            assert model.is_feasible(assignment) is feasible
+
+    def test_point_violating_only_a_block_row(self):
+        model = _rows_one_by_one()
+        point = dict(zip(model.variables, (1, 0, 1, 0, 0.5)))
+        assert model.is_feasible(point)
+        model.add_rows(Sense.LE, [0, 0], [0, 2], [1.0, 1.0], [1.0])
+        assert not model.is_feasible(point)  # x0 + x2 <= 1 only
+        assert model.is_feasible(dict(zip(model.variables, (0, 1, 1, 0, 0.0))))
+
+    @pytest.mark.parametrize(
+        "rows, cols, coefs, rhs, match",
+        [
+            ([0, 0], [0], [1.0, 1.0], [1.0], "differ in length"),
+            ([0], [0, 1], [1.0], [1.0], "differ in length"),
+            ([0, 1], [0, 1], [1.0, 1.0], [1.0], "outside the block"),
+            ([-1], [0], [1.0], [1.0], "outside the block"),
+            ([0], [2], [1.0], [1.0], "outside the model"),
+            ([0], [-1], [1.0], [1.0], "outside the model"),
+        ],
+    )
+    def test_malformed_block_rejected(
+        self, model, rows, cols, coefs, rhs, match
+    ):
+        model.add_binaries(["x", "y"])
+        with pytest.raises(ValueError, match=match):
+            model.add_rows(Sense.LE, rows, cols, coefs, rhs)
+        assert model.num_constraints == 0
+
+    def test_names_and_senses_must_match_rhs(self, model):
+        model.add_binaries(["x", "y"])
+        with pytest.raises(ValueError, match="names"):
+            model.add_rows(Sense.LE, [0], [0], [1.0], [1.0], names=["a", "b"])
+        with pytest.raises(ValueError, match="senses"):
+            model.add_rows([Sense.LE, Sense.GE], [0], [0], [1.0], [1.0])
+        assert model.num_constraints == 0
