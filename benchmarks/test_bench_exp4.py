@@ -1,7 +1,7 @@
 """Benchmark: Exp#4 (Fig. 8) — end-to-end impact of measured overheads."""
 
 from repro.experiments.exp4_endtoend import main
-from repro.experiments.harness import end_to_end_impact
+from repro.simulation import overhead_impact
 
 
 def test_bench_exp4_endtoend(benchmark, exp2_points):
@@ -16,7 +16,7 @@ def test_bench_exp4_endtoend(benchmark, exp2_points):
     ]
 
     def impact_sweep():
-        return [end_to_end_impact(ov) for ov in overheads]
+        return [overhead_impact(ov) for ov in overheads]
 
     results = benchmark(impact_sweep)
     for fct_ratio, goodput_ratio in results:

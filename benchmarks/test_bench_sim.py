@@ -1,8 +1,10 @@
-"""Benchmark: vectorized batch engine vs the per-flow analytic loop.
+"""Benchmark: vectorized batch engine vs the per-flow closed-form loop.
 
 The batch engine's reason to exist is throughput: evaluating a 10^5-
 flow trace in a handful of NumPy array operations instead of 10^5
-Python-level ``analytic_fct`` calls.  This benchmark times both engines
+Python-level closed-form evaluations.  This benchmark times the batch
+engine against the tests' per-flow oracle (``tests/simulation/
+loop_oracle.py``, the loop the batch engine reproduces bit for bit)
 on the same :class:`~repro.simulation.spec.SimulationSpec` (best of
 ``REPS`` runs each), asserts the documented >= 10x speedup, and records
 the engine-agreement deltas alongside the timings.
@@ -13,6 +15,7 @@ speedup contract is auditable across commits.
 
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -22,17 +25,16 @@ from repro.simulation.contention import (
     CONTENTION_REL_TOLERANCE,
     ContentionEngine,
 )
-from repro.simulation.engine import (
-    BATCH_REL_TOLERANCE,
-    AnalyticEngine,
-    BatchEngine,
-)
+from repro.simulation.engine import BatchEngine
 from repro.simulation.netsim import uniform_path
 from repro.simulation.spec import SimulationSpec
 from repro.simulation.traces import TraceConfig, generate_trace
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_sim.json")
+
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests", "simulation"))
+from loop_oracle import LoopEngine  # noqa: E402
 
 #: Trace sizes swept by the benchmark; the contract is asserted on the
 #: largest (the ISSUE's 10^5-flow trace).
@@ -64,7 +66,7 @@ def sim_records():
         spec = SimulationSpec.from_trace(
             trace, uniform_path(5), OVERHEAD_BYTES
         )
-        loop_engine = AnalyticEngine()
+        loop_engine = LoopEngine()
         batch_engine = BatchEngine()
         # Warm NumPy's first-import cost outside the timed region.
         batch_engine.evaluate(spec)
@@ -117,9 +119,10 @@ def sim_records():
         )
     # Low-load agreement is measured against the per-packet exact DES
     # (the engine's documented reference), on a size-capped companion
-    # trace the DES can evaluate in benchmark time.  The analytic and
-    # batch engines are NOT the right reference here: they price the
-    # runt last packet at full wire size, a deliberate upper bound.
+    # trace the DES can evaluate in benchmark time.  The closed form
+    # (batch engine and loop) is NOT the right reference here: it
+    # prices the runt last packet at full wire size, a deliberate
+    # upper bound.
     from repro.simulation.engine import ExactEngine
 
     capped = SimulationSpec.from_trace(
@@ -150,7 +153,7 @@ def sim_records():
         "contract": {
             "flows": CONTRACT_SIZE,
             "min_speedup": MIN_SPEEDUP,
-            "rel_tolerance": BATCH_REL_TOLERANCE,
+            "rel_tolerance": 0.0,
             "contention": {
                 "load": BENCH_LOAD,
                 "min_speedup_vs_loop": MIN_SPEEDUP,
@@ -175,10 +178,10 @@ def test_bench_sim_batch_speedup_contract(sim_records):
 
 
 def test_bench_sim_engines_agree(sim_records):
-    """Speed must not cost correctness: per-flow agreement holds at
-    every size, and the integer columns are exactly equal."""
+    """Speed must not cost correctness: the batch engine equals the
+    per-flow loop bit for bit at every size, on every column."""
     for record in sim_records["traces"]:
-        assert record["max_rel_fct_delta"] < BATCH_REL_TOLERANCE, record
+        assert record["max_rel_fct_delta"] == 0.0, record
         assert record["packets_equal"], record
         assert record["wire_bytes_equal"], record
 

@@ -13,8 +13,8 @@ Run:  python examples/pint_bounded_telemetry.py
 
 from repro.core.coordination import MetadataChannel
 from repro.dataplane.fields import metadata_field
-from repro.experiments.harness import end_to_end_impact
 from repro.extensions.pint import PintChannel, simulate_coverage
+from repro.simulation import overhead_impact
 
 
 def telemetry_channel() -> MetadataChannel:
@@ -46,7 +46,7 @@ def main() -> None:
         f"deterministic channel {channel.source} -> "
         f"{channel.destination}: {channel.layout_bytes} B/packet"
     )
-    fct_full, gp_full = end_to_end_impact(channel.layout_bytes, 512)
+    fct_full, gp_full = overhead_impact(channel.layout_bytes, 512)
     print(
         f"  512B-packet impact: FCT {(fct_full - 1) * 100:+.1f}%, "
         f"goodput {(gp_full - 1) * 100:+.1f}%\n"
@@ -61,7 +61,7 @@ def main() -> None:
     for budget in (6, 12):
         pint = PintChannel(channel, budget_bytes=budget)
         curve, completed = simulate_coverage(pint, values, 64)
-        fct, gp = end_to_end_impact(budget, 512)
+        fct, gp = overhead_impact(budget, 512)
         estimate = pint.expected_completion_packets()
         print(f"PINT budget {budget} B/packet:")
         print(

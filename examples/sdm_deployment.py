@@ -13,8 +13,8 @@ Run:  python examples/sdm_deployment.py
 
 from repro.baselines import Ffls, HermesHeuristic
 from repro.core import CoordinationAnalysis
-from repro.experiments.harness import end_to_end_impact
 from repro.network import topology_zoo_wan
+from repro.simulation import overhead_impact
 from repro.workloads import sketch_programs
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         result = framework.deploy(programs, network)
         plan = result.plan
         overhead = plan.max_metadata_bytes()
-        fct_ratio, goodput_ratio = end_to_end_impact(overhead)
+        fct_ratio, goodput_ratio = overhead_impact(overhead)
         merged_units = sum(m.resource_demand for m in result.tdg.mats)
         print(f"{framework.name}:")
         print(f"  per-packet byte overhead : {overhead} B")

@@ -406,9 +406,11 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         # Attach (or recompute, when --engine/--load is explicit) the
         # FCT inflation columns over the saved A_max trajectory.
         if args.engine or args.load is not None or not report.has_traffic:
-            report.attach_traffic(
-                engine=args.engine or "analytic", load=args.load
-            )
+            try:
+                report.attach_traffic(engine=args.engine, load=args.load)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 1
         print(report.render())
         return 0
 
@@ -776,16 +778,15 @@ def _maybe_export(args: argparse.Namespace, rows: list) -> None:
     print(f"wrote {len(rows)} rows to {path}")
 
 
-def _add_engine_flag(p: argparse.ArgumentParser, default) -> None:
+def _add_engine_flag(p: argparse.ArgumentParser) -> None:
     """The ``--engine``/``--load`` knobs shared by simulate and churn."""
     p.add_argument(
         "--engine",
-        choices=("exact", "analytic", "batch", "contention"),
-        default=default,
+        choices=("exact", "batch", "contention"),
+        default=None,
         help=(
             "traffic evaluation engine: 'exact' per-packet DES, "
-            "'analytic' closed form (default semantics), 'batch' "
-            "NumPy-vectorized closed form for large traces, "
+            "'batch' closed form, vectorized (the default), "
             "'contention' shared output-queue model with queueing "
             "(the only engine where flows interact; see --load)"
         ),
@@ -1057,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 1 when any event batch failed to converge",
         )
-        _add_engine_flag(p, default="analytic")
+        _add_engine_flag(p)
         _add_connect_flag(p)
 
     cr = churn_sub.add_parser(
@@ -1095,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="pretty-print a saved disruption report"
     )
     cq.add_argument("report", help="report JSON path")
-    _add_engine_flag(cq, default=None)
+    _add_engine_flag(cq)
 
     su = sub.add_parser(
         "suite",
@@ -1156,7 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("heuristic", "optimal"), default="heuristic"
     )
     sim.add_argument("--time-limit", type=float, default=30.0)
-    _add_engine_flag(sim, default="analytic")
+    _add_engine_flag(sim)
     sim.add_argument(
         "--overhead",
         type=int,

@@ -22,7 +22,6 @@ telemetry journal.
 from repro.experiments.harness import (
     DeploymentRecord,
     default_frameworks,
-    end_to_end_impact,
     run_deployment_suite,
     run_single_deployment,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "DeploymentRecord",
     "Table",
     "default_frameworks",
-    "end_to_end_impact",
     "format_series",
     "run_deployment_suite",
     "run_single_deployment",

@@ -37,16 +37,16 @@ class Fig2Row:
 
 
 def _size_rows(
-    job: Tuple[int, Tuple[int, ...], int, int, bool]
+    job: Tuple[int, Tuple[int, ...], int, int, Optional[str]]
 ) -> List[Fig2Row]:
     """The sweep for one packet size (module-level: pool-safe).
 
     One :class:`SimulationSpec` per packet size — a flow per overhead
-    on the shared uniform path — dispatched to the exact DES or the
-    analytic engine.  The differential tests pin the analytic numbers
-    bit-for-bit to the legacy hand-built-flow loop.
+    on the shared uniform path — dispatched to the named engine.  The
+    golden suite tests pin the closed-form numbers bit for bit to the
+    legacy hand-built-flow loop.
     """
-    packet_size, overheads, message_bytes, hops, use_des = job
+    packet_size, overheads, message_bytes, hops, engine = job
     payload = max(packet_size - BASE_HEADER_BYTES, 1)
     spec = SimulationSpec.uniform_sweep(
         overheads,
@@ -54,7 +54,7 @@ def _size_rows(
         hops=hops,
         message_bytes=message_bytes,
     )
-    result = get_engine("exact" if use_des else "analytic").evaluate(spec)
+    result = get_engine(engine).evaluate(spec)
     return [
         Fig2Row(
             packet_size=packet_size,
@@ -71,15 +71,17 @@ def run(
     packet_sizes: Sequence[int] = PACKET_SIZES,
     message_bytes: int = 1_000_000,
     hops: int = E2E_HOPS,
-    use_des: bool = False,
+    engine: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> List[Fig2Row]:
-    """Run the sweep; ``use_des`` switches from the closed form to the
-    packet-level discrete-event simulator (slower, identical shape).
-    A parallel ``runner`` fans the per-packet-size series out across
-    workers (worthwhile in DES mode)."""
+    """Run the sweep on ``engine`` (see
+    :func:`repro.simulation.engine.get_engine`): no name runs the
+    closed form, ``"exact"`` the packet-level discrete-event simulator
+    (slower, identical shape).  A parallel ``runner`` fans the
+    per-packet-size series out across workers (worthwhile on the
+    DES)."""
     jobs = [
-        (packet_size, tuple(overheads), message_bytes, hops, use_des)
+        (packet_size, tuple(overheads), message_bytes, hops, engine)
         for packet_size in packet_sizes
     ]
     if runner is not None:

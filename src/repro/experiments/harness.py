@@ -31,10 +31,8 @@ from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError
 from repro.simulation.engine import get_engine, overhead_impact
-from repro.simulation.flow import MIN_PAYLOAD_BYTES  # noqa: F401  (compat)
 from repro.simulation.spec import (  # noqa: F401  (re-exported)
     E2E_HOPS,
-    E2E_MESSAGE_BYTES,
     SimulationSpec,
     TrafficModel,
 )
@@ -113,41 +111,17 @@ def default_frameworks(
     return frameworks
 
 
-def end_to_end_impact(
-    overhead_bytes: int,
-    packet_payload_bytes: int = 1024,
-    hops: int = E2E_HOPS,
-    message_bytes: int = E2E_MESSAGE_BYTES,
-) -> Tuple[float, float]:
-    """Translate a per-packet overhead into (fct_ratio, goodput_ratio).
-
-    Both flows (with and without metadata) are pushed through the same
-    store-and-forward path; ratios are relative to the zero-overhead
-    baseline, exactly like Fig. 2's normalization.
-
-    Now a thin wrapper over the spec+engine pipeline
-    (:func:`repro.simulation.engine.overhead_impact`); the
-    differential tests pin it bit-for-bit to the legacy
-    hand-built-flow implementation.
-    """
-    return overhead_impact(
-        overhead_bytes,
-        packet_payload_bytes=packet_payload_bytes,
-        hops=hops,
-        message_bytes=message_bytes,
-    )
-
-
-def plan_end_to_end_impact(
+def plan_overhead_impact(
     plan,
     network: Network,
     packet_payload_bytes: int = 1024,
-    engine: str = "analytic",
+    engine: Optional[str] = None,
 ) -> Tuple[float, float]:
     """Plan-aware (fct_ratio, goodput_ratio): worst pair over the
     plan's real routed hop chains and per-pair overhead bytes.
 
-    Falls back to the scalar :func:`end_to_end_impact` of the plan's
+    Falls back to the scalar
+    :func:`~repro.simulation.engine.overhead_impact` of the plan's
     ``A_max`` when the plan carries no routing for a coordinating pair
     (legacy plans deserialized from old caches).
     """
@@ -160,8 +134,8 @@ def plan_end_to_end_impact(
             ),
         )
     except DeploymentError:
-        return end_to_end_impact(
-            plan.max_metadata_bytes(), packet_payload_bytes
+        return overhead_impact(
+            plan.max_metadata_bytes(), packet_payload_bytes, engine=engine
         )
     result = get_engine(engine).evaluate(spec)
     return result.fct_ratio, result.goodput_ratio
@@ -191,10 +165,10 @@ def run_single_deployment(
     fct_ratio, goodput_ratio = 1.0, 1.0
     plan_fct_ratio, plan_goodput_ratio = 1.0, 1.0
     if with_end_to_end:
-        fct_ratio, goodput_ratio = end_to_end_impact(
+        fct_ratio, goodput_ratio = overhead_impact(
             result.overhead_bytes, packet_payload_bytes
         )
-        plan_fct_ratio, plan_goodput_ratio = plan_end_to_end_impact(
+        plan_fct_ratio, plan_goodput_ratio = plan_overhead_impact(
             result.plan, network, packet_payload_bytes
         )
     record = DeploymentRecord(

@@ -42,13 +42,13 @@ def run(
     frameworks: Optional[Sequence[DeploymentFramework]] = None,
     trace_seed: int = 11,
     trace_config: TraceConfig = TraceConfig(),
-    engine: str = "analytic",
+    engine: Optional[str] = None,
 ) -> List[TraceStudyRow]:
     """Deploy, then weight each framework's overhead by the trace.
 
-    ``engine`` picks the evaluation engine for the trace (the batch
-    engine makes 10^5+-flow traces practical; the default analytic
-    engine matches the historical numbers bit-for-bit).
+    ``engine`` picks the evaluation engine for the trace (see
+    :func:`repro.simulation.engine.get_engine`; no name runs the batch
+    closed form).
     """
     programs = workload(num_programs, seed=7)
     network = topology_zoo_wan(topology_id)

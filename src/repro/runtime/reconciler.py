@@ -52,7 +52,9 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.control.controller import Controller, RebindReport
 from repro.control.migration import MatMove, compute_moves
@@ -71,6 +73,9 @@ from repro.runtime.scenario import NetworkEvent, Scenario, batch_events
 from repro.runtime.state import WorldState
 from repro.runtime.store import PlanStore
 from repro.telemetry import emit
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.engine import Engine
 
 #: A pluggable deployment function: ``(programs, network) -> plan``.
 DeployFn = Callable[[Sequence[Program], Network], DeploymentPlan]
@@ -195,24 +200,23 @@ class ReconcileResult:
 
     def report(
         self,
-        engine: Optional[str] = None,
+        engine: Union[str, "Engine", None] = None,
         load: Optional[float] = None,
     ):
         """The disruption metrics (:class:`repro.runtime.DisruptionReport`).
 
-        With an ``engine`` name the report's traffic-impact columns
-        are populated by evaluating FCT inflation over the A_max
-        trajectory (see :meth:`DisruptionReport.attach_traffic`).
-        A ``load`` selects the contention engine's congestion model
-        (queueing included in the inflation ratios).
+        With an ``engine`` (a name or an engine) or a ``load`` the
+        report's traffic-impact columns are populated by evaluating FCT
+        inflation over the A_max trajectory (see
+        :meth:`DisruptionReport.attach_traffic`); a ``load`` alone
+        selects the contention engine's congestion model (queueing
+        included in the inflation ratios).
         """
         from repro.runtime.report import DisruptionReport
 
         report = DisruptionReport.from_result(self)
         if engine or load is not None:
-            report.attach_traffic(
-                engine=engine or "contention", load=load
-            )
+            report.attach_traffic(engine=engine, load=load)
         return report
 
 

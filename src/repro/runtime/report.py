@@ -24,12 +24,13 @@ table for the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.experiments.reporting import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.reconciler import ReconcileResult
+    from repro.simulation.engine import Engine
 
 REPORT_SCHEMA = "repro.disruption/v1"
 
@@ -292,7 +293,7 @@ class DisruptionReport:
     # ------------------------------------------------------------------
     def attach_traffic(
         self,
-        engine: str = "analytic",
+        engine: Union[str, "Engine", None] = None,
         packet_payload_bytes: int = 1024,
         load: Optional[float] = None,
         flows: int = 64,
@@ -304,27 +305,27 @@ class DisruptionReport:
         new placements piggyback metadata simultaneously — is pushed
         through the end-to-end traffic model
         (:func:`repro.simulation.engine.overhead_impact`) with the
-        chosen engine.  Per-batch rows gain ``fct_ratio`` /
-        ``transient_fct_ratio`` keys and the report gains the
-        initial/final/peak-transient summary columns.
+        engine that ``engine`` and ``load`` select
+        (:func:`repro.simulation.engine.get_engine`).  Per-batch rows
+        gain ``fct_ratio`` / ``transient_fct_ratio`` keys and the
+        report gains the initial/final/peak-transient summary columns.
 
-        A ``load`` (or ``engine="contention"``) switches to the
-        congestion model: ``flows`` copies of the message share the
-        uniform path's output queue at that utilization, so the ratios
-        price the metadata's *queueing amplification* on top of its
-        pipeline tax and ``traffic_load`` records the knob.  Returns
-        ``self`` (mutated) for chaining.
+        The contention engine (a ``load``, or ``engine="contention"``)
+        switches to the congestion model: ``flows`` copies of the
+        message share the uniform path's output queue at that
+        utilization, so the ratios price the metadata's *queueing
+        amplification* on top of its pipeline tax and ``traffic_load``
+        records the knob.  Returns ``self`` (mutated) for chaining.
         """
+        from repro.simulation.contention import (
+            DEFAULT_LOAD,
+            ContentionEngine,
+        )
         from repro.simulation.engine import get_engine, overhead_impact
 
-        population = 1
-        if load is not None or engine == "contention":
-            from repro.simulation.contention import ContentionEngine
-
-            resolved = ContentionEngine(load=load)
-            population = flows
-        else:
-            resolved = get_engine(engine)
+        resolved = get_engine(engine, load)
+        congested = isinstance(resolved, ContentionEngine)
+        population = flows if congested else 1
         cache: Dict[int, float] = {}
 
         def inflation(amax_bytes: int) -> float:
@@ -344,11 +345,9 @@ class DisruptionReport:
                     int(row["transient_amax_bytes"])
                 )
         self.traffic_engine = resolved.name
-        if population > 1:
-            from repro.simulation.contention import DEFAULT_LOAD
-
+        if congested:
             self.traffic_load = (
-                load if load is not None else DEFAULT_LOAD
+                resolved.load if resolved.load is not None else DEFAULT_LOAD
             )
         else:
             self.traffic_load = 0.0

@@ -54,7 +54,7 @@ SIMULATE_DEFAULTS: Dict[str, Any] = {
     "seed": None,
     "mode": "heuristic",
     "time_limit_s": 30.0,
-    "engine": "analytic",
+    "engine": None,
     "load": None,
     "overhead": None,
     "flows": 0,
@@ -80,7 +80,7 @@ CHURN_DEFAULTS: Dict[str, Any] = {
     "debounce_s": 0.0,
     "incremental": False,
     "max_blast_fraction": 0.3,
-    "engine": "analytic",
+    "engine": None,
     "load": None,
 }
 
@@ -103,6 +103,21 @@ def resolve_params(
     resolved = dict(defaults)
     resolved.update(params)
     return resolved
+
+
+def _traffic_engine(p: Mapping[str, Any]):
+    """The engine that resolved ``engine``/``load`` params select.
+
+    :func:`repro.simulation.engine.get_engine` makes the choice; a bad
+    name or a load the engine cannot take is an :class:`OpError`, so
+    the op fails before it deploys or replays anything.
+    """
+    from repro.simulation.engine import get_engine
+
+    try:
+        return get_engine(p["engine"], p["load"])
+    except (TypeError, ValueError) as exc:
+        raise OpError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +257,6 @@ def simulate_op(
     uniform-path model, otherwise deploy-then-evaluate on the plan's
     real routed pairs; ``flows`` swaps in a seeded heavy-tailed trace.
     """
-    from repro.simulation.engine import (
-        EngineUnavailableError,
-        get_engine,
-    )
     from repro.simulation.spec import (
         E2E_HOPS,
         SimulationSpec,
@@ -254,6 +265,7 @@ def simulate_op(
     from repro.simulation.traces import TraceConfig, generate_trace
 
     p = resolve_params(params, SIMULATE_DEFAULTS)
+    engine = _traffic_engine(p)
     trace = (
         generate_trace(
             p["trace_seed"], TraceConfig(num_flows=p["flows"])
@@ -302,26 +314,10 @@ def simulate_op(
         spec = SimulationSpec.from_plan(
             plan, network, traffic=traffic, trace=trace
         )
-    engine = resolve_engine(p["engine"], p["load"])
-    try:
-        result = get_engine(engine).evaluate(spec)
-    except EngineUnavailableError as exc:
-        raise OpError(f"engine unavailable: {exc}") from exc
+    result = engine.evaluate(spec)
     doc["summary"] = simulation_summary(spec, result)
     doc["timing"] = {"wall_ms": result.wall_s * 1e3}
     return doc
-
-
-def resolve_engine(name: Optional[str], load: Optional[float]):
-    """``engine``/``load`` params -> an engine name or instance.
-
-    A ``load`` implies the contention engine, matching the CLI flags.
-    """
-    if name == "contention" or load is not None:
-        from repro.simulation.contention import ContentionEngine
-
-        return ContentionEngine(load=load)
-    return name or "analytic"
 
 
 def simulation_summary(spec, result) -> Dict[str, Any]:
@@ -373,6 +369,7 @@ def run_churn(params: Optional[Mapping[str, Any]] = None) -> Tuple[
     )
 
     p = resolve_params(params, CHURN_DEFAULTS)
+    engine = _traffic_engine(p)
     if p["scenario"] is not None:
         try:
             scenario = Scenario.from_dict(p["scenario"])
@@ -411,7 +408,7 @@ def run_churn(params: Optional[Mapping[str, Any]] = None) -> Tuple[
         programs, network, policy=policy, prepare_fn=seed_rules
     )
     result = reconciler.run(scenario)
-    report = result.report(engine=p["engine"], load=p["load"])
+    report = result.report(engine=engine)
     return scenario, result, report
 
 

@@ -10,7 +10,7 @@ This package provides both:
 
 * a discrete-event, store-and-forward flow simulator
   (:class:`FlowSimulator`) that transmits every packet hop by hop; and
-* a closed-form model (:func:`analytic_fct`) of the same pipeline,
+* a closed-form model of the same pipeline (:class:`BatchEngine`),
   cross-checked against the simulator in the test suite and used by
   the large parameter sweeps.
 """
@@ -27,7 +27,6 @@ from repro.simulation.flow import (
 from repro.simulation.netsim import (
     FlowSimulator,
     HopSpec,
-    analytic_fct,
     uniform_path,
 )
 from repro.simulation.spec import (
@@ -38,10 +37,8 @@ from repro.simulation.spec import (
     hop_chain,
 )
 from repro.simulation.engine import (
-    AnalyticEngine,
     BatchEngine,
     Engine,
-    EngineUnavailableError,
     ExactEngine,
     SimulationResult,
     get_engine,
@@ -52,7 +49,6 @@ from repro.simulation.contention import (
     CONTENTION_REL_TOLERANCE,
     DEFAULT_LOAD,
     ContentionEngine,
-    congested_overhead_impact,
 )
 from repro.simulation.metrics import FlowMetrics, normalized_against
 from repro.simulation.traces import (
@@ -69,14 +65,12 @@ from repro.simulation.interpreter import (
 )
 
 __all__ = [
-    "AnalyticEngine",
     "BatchEngine",
     "CONTENTION_FREE_LOAD",
     "CONTENTION_REL_TOLERANCE",
     "ContentionEngine",
     "DEFAULT_LOAD",
     "Engine",
-    "EngineUnavailableError",
     "EventQueue",
     "ExactEngine",
     "ExecutionTrace",
@@ -97,8 +91,6 @@ __all__ = [
     "TraceFlow",
     "TraceMetrics",
     "TrafficModel",
-    "analytic_fct",
-    "congested_overhead_impact",
     "evaluate_trace",
     "flow_pair",
     "generate_trace",

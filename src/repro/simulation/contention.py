@@ -1,9 +1,9 @@
 """Per-link output-queue contention at millions of flows.
 
-The three original engines (exact DES, analytic, batch) all model
-flows *independently*: every flow gets a private copy of its path, so
+The exact DES and the batch closed form both model flows
+*independently*: every flow gets a private copy of its path, so
 "heavy traffic" is additive arithmetic — no queueing, no shared-link
-contention.  :class:`ContentionEngine` is the fourth engine: flows
+contention.  :class:`ContentionEngine` is the third engine: flows
 bound to the same path contend for that path's bottleneck output
 queue, the way a VOQ drains one (input, output) pair's traffic through
 a single serializing port.
@@ -51,12 +51,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.simulation.engine import (
-    ENGINES,
-    Engine,
-    EngineUnavailableError,
-    SimulationResult,
-)
+from repro.simulation.engine import Engine, SimulationResult
 from repro.simulation.flow import MIN_PAYLOAD_BYTES
 from repro.simulation.spec import SimulationSpec
 
@@ -76,8 +71,7 @@ JITTER_HIGH = 1.9
 CONTENTION_FREE_LOAD = JITTER_LOW
 
 #: Relative tolerance of the contention engine's uncontended base FCT
-#: against the per-packet exact DES (same contract style as
-#: :data:`~repro.simulation.engine.BATCH_REL_TOLERANCE`).
+#: against the per-packet exact DES.
 CONTENTION_REL_TOLERANCE = 1e-6
 
 
@@ -91,9 +85,6 @@ class ContentionEngine(Engine):
             (queues grow without bound over the trace).
         seed: Seeds the arrival-jitter sequence; evaluation is a pure
             function of ``(spec, load, seed)``.
-
-    Requires NumPy; raises :class:`EngineUnavailableError` without it
-    (the exact DES is the semantic fallback at small scale).
     """
 
     name = "contention"
@@ -114,13 +105,7 @@ class ContentionEngine(Engine):
         return DEFAULT_LOAD
 
     def _evaluate(self, spec: SimulationSpec) -> SimulationResult:
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - env dependent
-            raise EngineUnavailableError(
-                "the contention engine needs numpy; use --engine exact "
-                "for uncontended per-packet semantics"
-            ) from exc
+        import numpy as np
 
         load = self.resolved_load(spec)
         tm = spec.traffic
@@ -266,34 +251,6 @@ class ContentionEngine(Engine):
         return np.where(wait > 1e-12 * np.maximum(starts, 1.0), wait, 0.0)
 
 
-def congested_overhead_impact(
-    overhead_bytes: int,
-    load: Optional[float] = None,
-    flows: int = 64,
-    packet_payload_bytes: int = 1024,
-    seed: int = 0,
-    engine: Optional[ContentionEngine] = None,
-) -> Tuple[float, float]:
-    """Scalar overhead -> (fct_ratio, goodput_ratio) under congestion.
-
-    The congestion-aware sibling of
-    :func:`~repro.simulation.engine.overhead_impact`: ``flows``
-    identical messages share the uniform 5-hop path's output queue at
-    ``load`` utilization, so the worst per-flow ratios price the
-    metadata's queueing amplification, not just its pipeline tax.
-    """
-    spec = SimulationSpec.uniform(
-        overhead_bytes,
-        packet_payload_bytes=packet_payload_bytes,
-        flows=flows,
-    )
-    resolved = engine or ContentionEngine(load=load, seed=seed)
-    result = resolved.evaluate(spec)
-    return result.fct_ratio, result.goodput_ratio
-
-
-ENGINES[ContentionEngine.name] = ContentionEngine
-
 __all__ = [
     "CONTENTION_FREE_LOAD",
     "CONTENTION_REL_TOLERANCE",
@@ -301,5 +258,4 @@ __all__ = [
     "JITTER_HIGH",
     "JITTER_LOW",
     "ContentionEngine",
-    "congested_overhead_impact",
 ]

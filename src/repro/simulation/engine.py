@@ -1,56 +1,40 @@
-"""Pluggable evaluation engines for :class:`SimulationSpec`.
+"""Evaluation engines for :class:`SimulationSpec`.
 
-One spec, four ways to evaluate it:
+One spec, one engine per traffic model:
 
 * :class:`ExactEngine` — the per-packet discrete-event
   :class:`~repro.simulation.netsim.FlowSimulator`; exact for short
   last packets and heterogeneous hops, and priced accordingly;
-* :class:`AnalyticEngine` — the closed-form
-  :func:`~repro.simulation.netsim.analytic_fct` pipeline model,
-  evaluated flow by flow (this is the legacy semantics every
-  experiment used, preserved bit-for-bit);
-* :class:`BatchEngine` — the same closed form vectorized with NumPy
-  over whole traces (10^5–10^6 flows in one shot); agrees with the
-  analytic engine within :data:`BATCH_REL_TOLERANCE` (the summation
-  order differs, nothing else);
+* :class:`BatchEngine` — the closed-form store-and-forward pipeline,
+  vectorized with NumPy over whole traces (10^5–10^6 flows in one
+  shot) in the per-flow float order, so every number it gives is the
+  one the historical per-flow loop gave;
 * :class:`~repro.simulation.contention.ContentionEngine` — the only
   engine where flows *interact*: per-path output-queue contention at
-  an ``--load`` utilization knob, vectorized to 10^6–10^7 flows, and
+  a ``load`` utilization knob, vectorized to 10^6–10^7 flows, and
   differentially locked to the exact DES at contention-free loads
-  (see :mod:`repro.simulation.contention`; it registers itself here
-  on import).
+  (see :mod:`repro.simulation.contention`).
 
-Every evaluation emits a ``sim.evaluate`` telemetry event (engine
-chosen, flows evaluated, wall time) so journals record which path
-produced which numbers.
+:func:`get_engine` is the one place an engine is chosen.  Every
+evaluation emits a ``sim.evaluate`` telemetry event (engine chosen,
+flows evaluated, wall time) so journals record which path produced
+which numbers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import List, Optional, Tuple, Union
 
 from repro import telemetry
 from repro.simulation.flow import MIN_PAYLOAD_BYTES
-from repro.simulation.netsim import FlowSimulator, analytic_fct
+from repro.simulation.netsim import FlowSimulator
 from repro.simulation.spec import (
     E2E_HOPS,
     E2E_MESSAGE_BYTES,
     SimulationSpec,
 )
-
-#: Relative tolerance within which the batch engine's FCT/goodput agree
-#: with the per-flow analytic engine.  Both evaluate the identical
-#: closed form; the batch path hoists the per-hop sum out of the
-#: per-flow loop (``w * sum(8/r)`` instead of ``sum(w * 8/r)``), which
-#: reorders float additions — a last-ulp effect, bounded far below
-#: this documented tolerance.
-BATCH_REL_TOLERANCE = 1e-6
-
-
-class EngineUnavailableError(RuntimeError):
-    """The requested engine cannot run in this environment."""
 
 
 @dataclass
@@ -175,37 +159,6 @@ class Engine:
     def _evaluate(self, spec: SimulationSpec) -> SimulationResult:
         raise NotImplementedError
 
-    def _from_metrics_pairs(
-        self, spec: SimulationSpec, pairs: Sequence[Tuple]
-    ) -> SimulationResult:
-        """Assemble columns from (measured, baseline) FlowMetrics."""
-        return SimulationResult(
-            engine=self.name,
-            source=spec.source,
-            fct_us=[m.fct_us for m, _ in pairs],
-            goodput_gbps=[m.goodput_gbps for m, _ in pairs],
-            num_packets=[m.num_packets for m, _ in pairs],
-            wire_bytes=[m.wire_bytes_per_hop for m, _ in pairs],
-            baseline_fct_us=[b.fct_us for _, b in pairs],
-            baseline_goodput_gbps=[b.goodput_gbps for _, b in pairs],
-        )
-
-
-class AnalyticEngine(Engine):
-    """Per-flow closed form — the legacy semantics, bit-for-bit."""
-
-    name = "analytic"
-
-    def _evaluate(self, spec: SimulationSpec) -> SimulationResult:
-        pairs = []
-        for flow in spec.flows:
-            path = spec.paths[flow.path_id]
-            baseline, measured = spec.flow_objects(flow)
-            pairs.append(
-                (analytic_fct(measured, path), analytic_fct(baseline, path))
-            )
-        return self._from_metrics_pairs(spec, pairs)
-
 
 class ExactEngine(Engine):
     """Per-packet discrete-event simulation of every flow."""
@@ -219,41 +172,58 @@ class ExactEngine(Engine):
             sim = simulators[flow.path_id]
             baseline, measured = spec.flow_objects(flow)
             pairs.append((sim.run(measured), sim.run(baseline)))
-        return self._from_metrics_pairs(spec, pairs)
+        return SimulationResult(
+            engine=self.name,
+            source=spec.source,
+            fct_us=[m.fct_us for m, _ in pairs],
+            goodput_gbps=[m.goodput_gbps for m, _ in pairs],
+            num_packets=[m.num_packets for m, _ in pairs],
+            wire_bytes=[m.wire_bytes_per_hop for m, _ in pairs],
+            baseline_fct_us=[b.fct_us for _, b in pairs],
+            baseline_goodput_gbps=[b.goodput_gbps for _, b in pairs],
+        )
 
 
 class BatchEngine(Engine):
-    """Vectorized closed form over the whole spec in one shot.
+    """The closed form, vectorized over the whole spec in one shot.
 
-    Requires NumPy; raises :class:`EngineUnavailableError` when the
-    environment lacks it (the analytic engine is the drop-in
-    fallback — identical model, per-flow loop).
+    For ``N`` equal packets of ``w`` wire bytes over hops with line
+    rates ``r_h`` and latencies ``l_h``, the pipeline delivers the last
+    packet at
+
+        sum(t_h) + sum(l_h) + (N - 1) * max(t_h),  t_h = 8 w / r_h
+
+    — the first packet's traversal plus the bottleneck pacing every
+    later one.  A short final packet makes this an upper bound that is
+    exact whenever the message divides evenly into packets.
+
+    The arithmetic follows the per-flow loop's float order (per hop
+    ``w * 8.0 / (rate_gbps * 1000.0)``, summed left to right along the
+    path, then ``+ sum(l_h)``, then ``+ (N - 1) * max``), so each
+    column is bit-identical to evaluating the flows one at a time.
     """
 
     name = "batch"
 
     def _evaluate(self, spec: SimulationSpec) -> SimulationResult:
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - env dependent
-            raise EngineUnavailableError(
-                "the batch engine needs numpy; use --engine analytic "
-                "for the equivalent per-flow closed form"
-            ) from exc
+        import numpy as np
 
         tm = spec.traffic
         payload, hdr, mtu = tm.packet_payload_bytes, tm.header_bytes, tm.mtu
-        # Per-path pipeline constants: for uniform per-flow wire size w,
-        # FCT = w * sum(8/r) + sum(l) + (N - 1) * w * max(8/r).
-        inv_rates = [
-            [8.0 / (hop.rate_gbps * 1000.0) for hop in path]
-            for path in spec.paths
-        ]
-        tx_sum = np.array([sum(r) for r in inv_rates])
-        tx_max = np.array([max(r) for r in inv_rates])
-        lat_sum = np.array(
-            [sum(h.latency_us for h in p) for p in spec.paths]
-        )
+        # Per-path line rates in bits/µs, padded past each chain's end
+        # with inf (a zero serialization time, which leaves the running
+        # sum and max unchanged), and latency sums taken left to right.
+        num_hops = max(len(path) for path in spec.paths)
+        rates = np.full((len(spec.paths), num_hops), np.inf)
+        lat_sum = np.empty(len(spec.paths))
+        for p, path in enumerate(spec.paths):
+            if not path:
+                raise ValueError("path needs at least one hop")
+            total = 0
+            for h, hop in enumerate(path):
+                rates[p, h] = hop.rate_gbps * 1000.0
+                total += hop.latency_us
+            lat_sum[p] = total
         pid = np.fromiter(
             (f.path_id for f in spec.flows), dtype=np.int64,
             count=len(spec.flows),
@@ -266,18 +236,21 @@ class BatchEngine(Engine):
             (f.overhead_bytes for f in spec.flows), dtype=np.int64,
             count=len(spec.flows),
         )
+        rate = rates[pid]
+        lat = lat_sum[pid]
 
         def pipeline(eff, extra):
             """FCT / goodput / packets / wire for one overhead column."""
             packets = -(-msg // eff)
-            wire_pkt = eff + extra
-            fct = (
-                wire_pkt * tx_sum[pid]
-                + lat_sum[pid]
-                + (packets - 1) * (wire_pkt * tx_max[pid])
-            )
+            bits = (eff + extra) * 8.0
+            tx_sum = tx_max = bits / rate[:, 0]
+            for h in range(1, num_hops):
+                tx = bits / rate[:, h]
+                tx_sum = tx_sum + tx
+                tx_max = np.maximum(tx_max, tx)
+            fct = tx_sum + lat + (packets - 1) * tx_max
             goodput = msg * 8.0 / (fct * 1000.0)
-            wire = (packets - 1) * wire_pkt + (
+            wire = (packets - 1) * (eff + extra) + (
                 msg - (packets - 1) * eff
             ) + extra
             return fct, goodput, packets, wire
@@ -301,46 +274,39 @@ class BatchEngine(Engine):
         )
 
 
-ENGINES: Dict[str, Type[Engine]] = {
-    AnalyticEngine.name: AnalyticEngine,
-    ExactEngine.name: ExactEngine,
-    BatchEngine.name: BatchEngine,
-}
-
-#: The default engine everywhere an ``--engine`` knob is not exposed.
-DEFAULT_ENGINE = AnalyticEngine.name
-
-
-def _ensure_plugins() -> None:
-    """Import engines that live in their own modules.
-
-    :class:`~repro.simulation.contention.ContentionEngine` registers
-    itself in :data:`ENGINES` when its module loads; deferring that
-    import keeps this module cycle-free (contention subclasses
-    :class:`Engine`).
-    """
-    from repro.simulation import contention  # noqa: F401
-
-
 def get_engine(
-    engine: Union[str, Engine] = DEFAULT_ENGINE, **kwargs
+    name: Union[str, Engine, None] = None, load: Optional[float] = None
 ) -> Engine:
-    """Resolve an engine name (or pass an instance through).
+    """The engine for an ``engine`` name and a ``load``.
 
-    Keyword arguments go to the engine constructor — e.g.
-    ``get_engine("contention", load=0.9)``.
+    This is the one place the choice is made.  No name picks
+    ``batch``, the closed form, unless a ``load`` is given: a load
+    alone picks ``contention``, the only engine it means anything to.
+    An :class:`Engine` instance passes through.  An unknown name, or a
+    load paired with any engine but ``contention``, raises
+    ``ValueError``.
     """
-    if isinstance(engine, Engine):
-        return engine
-    if engine not in ENGINES:
-        _ensure_plugins()
-    try:
-        return ENGINES[engine](**kwargs)
-    except KeyError:
+    if isinstance(name, Engine) and load is None:
+        return name
+    if name is None:
+        name = "contention" if load is not None else BatchEngine.name
+    if name == "contention":
+        # contention.py subclasses Engine, so it imports this module.
+        from repro.simulation.contention import ContentionEngine
+
+        return ContentionEngine(load=load)
+    engines = {ExactEngine.name: ExactEngine, BatchEngine.name: BatchEngine}
+    if name not in engines:
         raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{sorted(ENGINES)}"
-        ) from None
+            f"unknown engine {name!r}; choose from exact, batch, "
+            f"contention"
+        )
+    if load is not None:
+        raise ValueError(
+            f"a load applies only to the contention engine, not "
+            f"{name!r}; choose from exact, batch, contention"
+        )
+    return engines[name]()
 
 
 def overhead_impact(
@@ -348,18 +314,18 @@ def overhead_impact(
     packet_payload_bytes: int = 1024,
     hops: int = E2E_HOPS,
     message_bytes: int = E2E_MESSAGE_BYTES,
-    engine: Union[str, Engine] = DEFAULT_ENGINE,
+    engine: Union[str, Engine, None] = None,
     flows: int = 1,
 ) -> Tuple[float, float]:
     """Scalar overhead -> (fct_ratio, goodput_ratio), uniform path.
 
-    The spec+engine successor of the legacy ``end_to_end_impact``:
-    same uniform 5-hop path, same MTU widening, same normalization —
-    reproduced bit-for-bit by the analytic engine (locked in by the
-    differential tests).  ``flows`` replicates the message into a
+    The Fig. 2 normalization: one message over the uniform 5-hop path
+    with and without ``overhead_bytes`` of metadata per packet (MTU
+    widening included), evaluated by ``engine`` (see
+    :func:`get_engine`).  ``flows`` replicates the message into a
     population sharing the path — a no-op for the independent-flow
-    engines, but what gives the contention engine a queue to fill
-    (see :func:`repro.simulation.contention.congested_overhead_impact`).
+    engines, but what gives the contention engine a queue to fill, so
+    the worst ratios price the metadata's queueing amplification.
     """
     spec = SimulationSpec.uniform(
         overhead_bytes,
@@ -373,13 +339,8 @@ def overhead_impact(
 
 
 __all__ = [
-    "BATCH_REL_TOLERANCE",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "AnalyticEngine",
     "BatchEngine",
     "Engine",
-    "EngineUnavailableError",
     "ExactEngine",
     "SimulationResult",
     "get_engine",

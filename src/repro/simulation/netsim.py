@@ -6,12 +6,11 @@ packet propagates for the hop's latency — the classic store-and-forward
 pipeline.  FCT is the delivery time of the last packet; goodput is
 application bytes over FCT.
 
-Two implementations agree with each other (see the property tests):
-
-* :class:`FlowSimulator` — discrete-event, packet by packet, supports
-  heterogeneous hops and short last packets exactly;
-* :func:`analytic_fct` — closed form for uniform packets, used by the
-  big sweeps where simulating 10^6 packets x 100 runs is pointless.
+:class:`FlowSimulator` simulates it discrete-event, packet by packet,
+with heterogeneous hops and short last packets exact.  The closed form
+of the same pipeline, for the big sweeps where simulating 10^6 packets
+x 100 runs is pointless, is :class:`~repro.simulation.engine.BatchEngine`
+(the property tests check the two agree).
 """
 
 from __future__ import annotations
@@ -100,31 +99,3 @@ class FlowSimulator:
             num_packets=delivered[0],
             wire_bytes_per_hop=flow.total_wire_bytes,
         )
-
-
-def analytic_fct(flow: Flow, path: Sequence[HopSpec]) -> FlowMetrics:
-    """Closed-form FCT/goodput for uniform-size packets.
-
-    For N equal packets over hops with serialization times ``t_h`` and
-    latencies ``l_h``, the pipeline delivers the last packet at
-
-        sum(t_h) + sum(l_h) + (N - 1) * max(t_h)
-
-    — the first packet's cut-through-free traversal plus the bottleneck
-    pacing every subsequent packet.  A short final packet makes this an
-    upper bound that is exact whenever the message divides evenly into
-    packets.
-    """
-    if not path:
-        raise ValueError("path needs at least one hop")
-    wire = flow.effective_payload_bytes + flow.overhead_bytes + flow.header_bytes
-    tx_times = [hop.tx_time_us(wire) for hop in path]
-    latencies = [hop.latency_us for hop in path]
-    n = flow.num_packets
-    fct = sum(tx_times) + sum(latencies) + (n - 1) * max(tx_times)
-    return FlowMetrics(
-        fct_us=fct,
-        goodput_gbps=flow.message_bytes * 8.0 / (fct * 1000.0),
-        num_packets=n,
-        wire_bytes_per_hop=flow.total_wire_bytes,
-    )

@@ -15,7 +15,8 @@ sizes bound to a path and a per-packet overhead), and the shared
 traffic-model constants.  Constructors cover the repo's producers:
 
 * :meth:`SimulationSpec.uniform` — the classic scalar-overhead,
-  uniform-path model of ``end_to_end_impact``;
+  uniform-path model of
+  :func:`~repro.simulation.engine.overhead_impact`;
 * :meth:`SimulationSpec.uniform_sweep` — Fig. 2's overhead sweep with
   one shared baseline;
 * :meth:`SimulationSpec.from_trace` — a generated flow trace over one
@@ -282,9 +283,7 @@ class SimulationSpec:
 
         ``flows`` > 1 replicates the message into a population sharing
         the single path — identical per flow for the independent
-        engines, but a queue for the contention engine to fill (the
-        shape :func:`~repro.simulation.contention
-        .congested_overhead_impact` evaluates).
+        engines, but a queue for the contention engine to fill.
         """
         if flows <= 0:
             raise ValueError("flows must be positive")

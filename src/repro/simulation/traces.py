@@ -10,7 +10,7 @@ few packets, elephants amortize propagation but not serialization.
 This module generates seeded flow traces with the standard empirical
 shape (log-normal body, Pareto tail, Poisson arrivals) and evaluates a
 whole trace under a given byte overhead — the trace-weighted companion
-to :func:`repro.simulation.netsim.analytic_fct`.
+to :func:`repro.simulation.engine.overhead_impact`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.simulation.netsim import HopSpec
 
@@ -103,7 +103,7 @@ def evaluate_trace(
     path: Sequence[HopSpec],
     overhead_bytes: int,
     packet_payload_bytes: int = 1024,
-    engine: Union[str, "Engine"] = "analytic",
+    engine: Optional[Union[str, "Engine"]] = None,
 ) -> TraceMetrics:
     """Evaluate every flow of a trace under an overhead setting.
 
@@ -111,11 +111,10 @@ def evaluate_trace(
     uncongested path; queueing interactions are out of scope, as in
     the paper's own testbed methodology of one flow at a time).
 
-    Now a thin wrapper building a :class:`SimulationSpec` and
-    dispatching it to the chosen engine (``"analytic"`` reproduces the
-    legacy per-flow closed-form loop bit-for-bit; ``"batch"`` is the
-    vectorized fast path for large traces; ``"exact"`` runs the
-    packet-level DES).
+    A thin wrapper building a :class:`SimulationSpec` and dispatching
+    it to the chosen engine (see
+    :func:`~repro.simulation.engine.get_engine`: no name runs the
+    ``batch`` closed form, ``"exact"`` the packet-level DES).
     """
     from repro.simulation.engine import get_engine
     from repro.simulation.spec import SimulationSpec

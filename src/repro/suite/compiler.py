@@ -303,7 +303,7 @@ def run_suite(
             packet_sizes=spec.axes["packet_sizes"],
             message_bytes=spec.params["message_bytes"],
             hops=spec.params["hops"],
-            use_des=spec.params["engine"] == "exact",
+            engine=spec.params["engine"],
             runner=runner,
         )
         outcome = rows

@@ -79,7 +79,8 @@ KIND_PARAMS: Dict[str, Dict[str, Any]] = {
     "overhead_sweep": {
         "message_bytes": 1_000_000,
         "hops": 5,
-        "engine": "analytic",
+        # "exact" or "batch"; None runs the batch closed form
+        "engine": None,
     },
     "traffic": {
         "flows": 200,
@@ -319,6 +320,15 @@ class SuiteSpec:
             raise SuiteSpecError(
                 f"tag_axis must be 'workload' or 'topology', "
                 f"got {params['tag_axis']!r}"
+            )
+        # Fig. 2 prices one flow at a time: only the engines whose
+        # flows are independent can run the sweep.
+        if kind == "overhead_sweep" and params["engine"] not in (
+            None, "exact", "batch"
+        ):
+            raise SuiteSpecError(
+                f"overhead_sweep engine must be 'exact' or 'batch', "
+                f"got {params['engine']!r}"
             )
         if kind == "traffic":
             # validate the load model document eagerly

@@ -375,32 +375,35 @@ class TestSimulateCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.command == "simulate"
-        assert args.engine == "analytic"
+        # Unset, so --load alone can select the contention engine.
+        assert args.engine is None
+        assert args.load is None
         assert args.overhead is None
         assert args.flows == 0
 
     def test_scalar_overhead_mode(self, capsys):
         assert main(["simulate", "--overhead", "48"]) == 0
         out = capsys.readouterr().out
-        assert "simulate: uniform via analytic engine" in out
+        assert "simulate: uniform via batch engine" in out
         assert "worst FCT ratio" in out
 
     def test_scalar_engines_agree(self, tmp_path, capsys):
         import json
 
         paths = {}
-        for engine in ("exact", "analytic", "batch"):
-            paths[engine] = tmp_path / f"{engine}.json"
+        for engine in ("exact", "batch", None):
+            name = engine or "default"
+            paths[name] = tmp_path / f"{name}.json"
+            flags = ["--engine", engine] if engine else []
             assert (
                 main(
                     [
                         "simulate",
                         "--overhead",
                         "200",
-                        "--engine",
-                        engine,
+                        *flags,
                         "--json",
-                        str(paths[engine]),
+                        str(paths[name]),
                     ]
                 )
                 == 0
@@ -410,12 +413,8 @@ class TestSimulateCommand:
             engine: json.loads(path.read_text())["worst_fct_ratio"]
             for engine, path in paths.items()
         }
-        assert ratios["batch"] == pytest.approx(
-            ratios["analytic"], rel=1e-6
-        )
-        assert ratios["exact"] == pytest.approx(
-            ratios["analytic"], rel=1e-2
-        )
+        assert ratios["default"] == ratios["batch"]
+        assert ratios["exact"] == pytest.approx(ratios["batch"], rel=1e-2)
 
     def test_plan_aware_trace_mode(self, tmp_path, capsys):
         import json
@@ -452,6 +451,24 @@ class TestSimulateCommand:
         ]
         assert any(e.get("kind") == "sim.evaluate" for e in events)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", (["simulate"], ["churn", "run"]))
+    def test_engine_choices(self, command, capsys):
+        parser = build_parser()
+        for engine in ("exact", "batch", "contention"):
+            args = parser.parse_args([*command, "--engine", engine])
+            assert args.engine == engine
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command, "--engine", "analytic"])
+        capsys.readouterr()
+
+    def test_load_with_another_engine_is_an_error(self, capsys):
+        code = main(
+            ["simulate", "--overhead", "48", "--engine", "exact",
+             "--load", "0.5"]
+        )
+        assert code == 1
+        assert "exact, batch, contention" in capsys.readouterr().out
 
     def test_churn_report_gains_engine_flag(self):
         args = build_parser().parse_args(

@@ -16,11 +16,11 @@ from repro.experiments.exp6_resources import ground_truth_units, run as run_exp6
 from repro.experiments.harness import (
     DeploymentRecord,
     default_frameworks,
-    end_to_end_impact,
     run_deployment_suite,
 )
 from repro.experiments.reporting import Table, format_series
 from repro.network.generators import linear_topology
+from repro.simulation import overhead_impact
 
 
 FAST = [HermesHeuristic(), Ffl(), Ffls()]
@@ -49,12 +49,25 @@ class TestReporting:
 
 class TestHarness:
     def test_end_to_end_impact_monotone(self):
-        fct0, gp0 = end_to_end_impact(0)
-        fct1, gp1 = end_to_end_impact(100)
+        fct0, gp0 = overhead_impact(0)
+        fct1, gp1 = overhead_impact(100)
         assert fct0 == pytest.approx(1.0)
         assert gp0 == pytest.approx(1.0)
         assert fct1 > 1.0
         assert gp1 < 1.0
+
+    def test_unrouted_plan_falls_back_on_the_named_engine(self):
+        from repro.experiments.harness import plan_overhead_impact
+        from repro.workloads import real_programs
+
+        network = linear_topology(3)
+        plan = Ffl().deploy(real_programs(6), network).plan
+        assert plan.max_metadata_bytes() > 0
+        stripped = plan.with_routing({})
+        for engine in ("exact", "batch"):
+            assert plan_overhead_impact(
+                stripped, network, engine=engine
+            ) == overhead_impact(plan.max_metadata_bytes(), engine=engine)
 
     def test_default_frameworks_order(self):
         frameworks = default_frameworks()
@@ -94,18 +107,18 @@ class TestFig2:
         assert goodputs == sorted(goodputs, reverse=True)
 
     def test_des_agrees_with_analytic(self):
-        analytic = fig2_motivation.run(
+        closed = fig2_motivation.run(
             overheads=(48,), packet_sizes=(1024,), message_bytes=102_400
         )
         des = fig2_motivation.run(
             overheads=(48,),
             packet_sizes=(1024,),
             message_bytes=102_400,
-            use_des=True,
+            engine="exact",
         )
         # The message does not divide evenly into 970-byte payloads, so
         # the closed form is a (tight) upper bound, not exact.
-        assert analytic[0].fct_ratio == pytest.approx(
+        assert closed[0].fct_ratio == pytest.approx(
             des[0].fct_ratio, rel=1e-2
         )
 
@@ -163,16 +176,16 @@ class TestEndToEndImpactEdgeCases:
     def test_huge_overhead_uses_fragmentation_fallback(self):
         # Overhead beyond the whole MTU: real deployments fragment; the
         # model must degrade gracefully rather than raise.
-        fct_ratio, goodput_ratio = end_to_end_impact(1468)
+        fct_ratio, goodput_ratio = overhead_impact(1468)
         assert fct_ratio > 1.5
         assert 0 < goodput_ratio < 0.7
 
     def test_moderate_overhead_unaffected_by_fallback(self):
         # Below the MTU boundary the fallback must not kick in.
-        a = end_to_end_impact(100)
-        b = end_to_end_impact(101)
+        a = overhead_impact(100)
+        b = overhead_impact(101)
         assert abs(a[0] - b[0]) < 0.01
 
     def test_monotone_across_the_mtu_boundary(self):
-        ratios = [end_to_end_impact(ov)[0] for ov in (0, 400, 1400, 1500, 2000)]
+        ratios = [overhead_impact(ov)[0] for ov in (0, 400, 1400, 1500, 2000)]
         assert ratios == sorted(ratios)

@@ -2,8 +2,8 @@
 
 from repro.baselines import HermesHeuristic, HermesOptimal
 from repro.core import Backend, CoordinationAnalysis, Hermes
-from repro.experiments.harness import end_to_end_impact
 from repro.network import fat_tree, linear_topology, topology_zoo_wan
+from repro.simulation import overhead_impact
 from repro.workloads import real_programs, sketch_programs, synthetic_programs
 from tests.conftest import make_sketch_program
 
@@ -66,7 +66,7 @@ class TestFullPipeline:
         result = Hermes().deploy(programs, network)
         overhead = result.overhead_bytes
         assert overhead > 0
-        fct_ratio, goodput_ratio = end_to_end_impact(overhead)
+        fct_ratio, goodput_ratio = overhead_impact(overhead)
         assert fct_ratio > 1.0
         assert goodput_ratio < 1.0
 

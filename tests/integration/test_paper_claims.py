@@ -17,8 +17,8 @@ from repro.baselines import (
 )
 from repro.experiments import fig2_motivation
 from repro.experiments.exp2_overhead import workload
-from repro.experiments.harness import end_to_end_impact
 from repro.network.topozoo import topology_zoo_wan
+from repro.simulation import overhead_impact
 from repro.workloads.sketches import sketch_programs
 from repro.network.generators import linear_topology
 
@@ -103,7 +103,7 @@ class TestClaim4OverheadHurtsPerformance:
         pairs = sorted(
             (r.overhead_bytes for r in scale_results.values())
         )
-        impacts = [end_to_end_impact(ov)[0] for ov in pairs]
+        impacts = [overhead_impact(ov)[0] for ov in pairs]
         assert impacts == sorted(impacts)
 
 

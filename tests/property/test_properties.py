@@ -19,6 +19,7 @@ from repro.milp.solution import SolveStatus
 from repro.network.generators import random_wan
 from repro.network.paths import k_shortest_paths
 from repro.network.switch import Switch
+from repro.simulation.engine import BatchEngine
 from repro.simulation.flow import (
     BASE_HEADER_BYTES,
     DEFAULT_MTU,
@@ -27,14 +28,36 @@ from repro.simulation.flow import (
     packet_list,
     widened_mtu,
 )
-from repro.simulation.netsim import (
-    FlowSimulator,
-    HopSpec,
-    analytic_fct,
-    uniform_path,
-)
+from repro.simulation.metrics import FlowMetrics
+from repro.simulation.netsim import FlowSimulator, HopSpec, uniform_path
+from repro.simulation.spec import FlowSpec, SimulationSpec, TrafficModel
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
+
+
+def closed_form_fct(flow: Flow, path) -> FlowMetrics:
+    """``flow`` over ``path`` under the closed form: the batch engine
+    on a one-flow spec that packetizes exactly as ``flow`` does."""
+    spec = SimulationSpec(
+        paths=(tuple(path),),
+        flows=(
+            FlowSpec(flow.flow_id, flow.message_bytes, flow.overhead_bytes),
+        ),
+        traffic=TrafficModel(
+            packet_payload_bytes=flow.packet_payload_bytes,
+            message_bytes=flow.message_bytes,
+            header_bytes=flow.header_bytes,
+            mtu=flow.mtu,
+        ),
+    )
+    assert spec.flow_objects(spec.flows[0])[1] == flow
+    result = BatchEngine().evaluate(spec)
+    return FlowMetrics(
+        result.fct_us[0],
+        result.goodput_gbps[0],
+        result.num_packets[0],
+        result.wire_bytes[0],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +357,7 @@ class TestFlowProperties:
         flow = Flow(1, packets * payload, payload, overhead_bytes=overhead)
         path = uniform_path(hops)
         des = FlowSimulator(path).run(flow)
-        closed = analytic_fct(flow, path)
+        closed = closed_form_fct(flow, path)
         # Message divides evenly: the closed form is exact.
         assert des.fct_us == pytest.approx(closed.fct_us, rel=1e-9)
 
@@ -346,8 +369,8 @@ class TestFlowProperties:
         assume(ov1 != ov2)
         lo, hi = sorted((ov1, ov2))
         path = uniform_path(5)
-        fct_lo = analytic_fct(Flow(1, 100_000, 512, overhead_bytes=lo), path)
-        fct_hi = analytic_fct(Flow(1, 100_000, 512, overhead_bytes=hi), path)
+        fct_lo = closed_form_fct(Flow(1, 100_000, 512, overhead_bytes=lo), path)
+        fct_hi = closed_form_fct(Flow(1, 100_000, 512, overhead_bytes=hi), path)
         assert fct_lo.fct_us <= fct_hi.fct_us
 
 
@@ -450,7 +473,7 @@ class TestHeterogeneousPathProperties:
         the uniform chains the legacy harness used."""
         flow = Flow(1, packets * payload, payload, overhead_bytes=overhead)
         des = FlowSimulator(path).run(flow)
-        closed = analytic_fct(flow, path)
+        closed = closed_form_fct(flow, path)
         assert des.fct_us == pytest.approx(closed.fct_us, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -466,7 +489,7 @@ class TestHeterogeneousPathProperties:
         packet at full wire size) is an upper bound on the DES."""
         flow = Flow(1, message, payload)
         des = FlowSimulator(path).run(flow)
-        closed = analytic_fct(flow, path)
+        closed = closed_form_fct(flow, path)
         assert des.fct_us <= closed.fct_us * (1 + 1e-9)
 
 
@@ -643,16 +666,16 @@ class TestContentionProperties:
         self, seed, flows, overhead, load
     ):
         """Queueing delays packets; it never creates or destroys them.
-        Packet and wire-byte columns must match the analytic engine
+        Packet and wire-byte columns must match the batch engine
         bit-for-bit at any load."""
         from repro.simulation import ContentionEngine, get_engine
 
         spec = self._spec(seed, flows, overhead)
         contended = ContentionEngine(load=load).evaluate(spec)
-        analytic = get_engine("analytic").evaluate(spec)
-        assert contended.wire_bytes == analytic.wire_bytes
-        assert contended.num_packets == analytic.num_packets
-        assert sum(contended.wire_bytes) == sum(analytic.wire_bytes)
+        batch = get_engine("batch").evaluate(spec)
+        assert contended.wire_bytes == batch.wire_bytes
+        assert contended.num_packets == batch.num_packets
+        assert sum(contended.wire_bytes) == sum(batch.wire_bytes)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -48,10 +48,11 @@ def report(programs, network):
 class TestAttachTraffic:
     def test_attach_populates_summary_fields(self, report):
         assert not report.has_traffic
-        returned = report.attach_traffic(engine="analytic")
+        returned = report.attach_traffic(engine="batch")
         assert returned is report
         assert report.has_traffic
-        assert report.traffic_engine == "analytic"
+        assert report.traffic_engine == "batch"
+        assert report.traffic_load == 0.0
         assert report.initial_fct_ratio == (
             overhead_impact(report.initial_amax_bytes)[0]
         )
@@ -74,7 +75,7 @@ class TestAttachTraffic:
     def test_render_shows_traffic_columns(self, report):
         report.attach_traffic()
         text = report.render()
-        assert "Traffic impact (analytic engine)" in text
+        assert "Traffic impact (batch engine)" in text
         assert "FCT x" in text
         assert "transient FCT x" in text
 
@@ -94,11 +95,13 @@ class TestAttachTraffic:
         assert "transient FCT x" not in text
 
     def test_batch_engine_matches_analytic(self, report):
-        analytic = report.attach_traffic(engine="analytic")
+        """No engine named is the batch closed form, bit for bit."""
+        default = report.attach_traffic()
+        assert default.traffic_engine == "batch"
         a = (
-            analytic.initial_fct_ratio,
-            analytic.final_fct_ratio,
-            analytic.peak_transient_fct_ratio,
+            default.initial_fct_ratio,
+            default.final_fct_ratio,
+            default.peak_transient_fct_ratio,
         )
         batch = report.attach_traffic(engine="batch")
         assert batch.traffic_engine == "batch"
@@ -107,7 +110,21 @@ class TestAttachTraffic:
             batch.final_fct_ratio,
             batch.peak_transient_fct_ratio,
         )
-        assert b == pytest.approx(a, rel=1e-6)
+        assert b == a
+
+    def test_a_load_selects_the_contention_engine(self, report):
+        report.attach_traffic(load=0.9)
+        assert report.traffic_engine == "contention"
+        assert report.traffic_load == 0.9
+        report.attach_traffic(engine="contention")
+        assert report.traffic_load == 0.5  # DEFAULT_LOAD
+
+    @pytest.mark.parametrize(
+        "engine,load", (("analytic", None), ("exact", 0.5), ("batch", 0.5))
+    )
+    def test_bad_engine_choice_rejected(self, report, engine, load):
+        with pytest.raises(ValueError, match="exact, batch, contention"):
+            report.attach_traffic(engine=engine, load=load)
 
 
 class TestRoundTrip:
@@ -125,6 +142,17 @@ class TestRoundTrip:
             == report.peak_transient_fct_ratio
         )
         assert loaded.rows == report.rows
+
+    def test_analytic_engine_reports_still_load(self, report):
+        """Reports saved while the retired ``analytic`` engine was the
+        default load and render as saved."""
+        report.attach_traffic()
+        doc = report.to_dict()
+        doc["traffic_engine"] = "analytic"
+        loaded = DisruptionReport.from_dict(doc)
+        assert loaded.has_traffic
+        assert "Traffic impact (analytic engine)" in loaded.render()
+        assert loaded.final_fct_ratio == report.final_fct_ratio
 
     def test_pre_traffic_documents_still_load(self, report):
         """Reports saved before the traffic columns existed (same v1

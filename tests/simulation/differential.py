@@ -8,8 +8,9 @@ This module turns that promise into a first-class object — a
 engine states its contract once and every (engine, reference,
 topology, seed) cell reuses the same machinery.  First consumer: the
 contention engine vs the exact DES at contention-free loads
-(``tests/simulation/test_differential.py``); the batch-vs-analytic
-lock-in rides the same harness as a self-check.
+(``tests/simulation/test_engine_differential.py``); the batch engine
+vs the per-flow loop oracle rides the same harness, with a zero
+tolerance, as a self-check.
 
 Import it as a plain module (``from tests.simulation.differential
 import ...``); it deliberately contains no tests of its own.
@@ -35,8 +36,8 @@ class ToleranceContract:
     ``fct_rel``/``goodput_rel`` bound the relative delta of the float
     columns (measured and baseline twins alike); ``packets_exact`` /
     ``wire_exact`` require the integer columns to be bit-identical.
-    The defaults are the repo-wide 1e-6 contract the batch and
-    contention engines both document.
+    The defaults are the 1e-6 contract the contention engine
+    documents against the exact DES.
     """
 
     fct_rel: float = 1e-6

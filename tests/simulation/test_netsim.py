@@ -1,15 +1,16 @@
-"""Unit tests for the flow transmission models."""
+"""Unit tests for the flow transmission models.
+
+The closed form is checked through the tests' per-flow oracle
+(:mod:`loop_oracle`), which the batch engine reproduces bit for bit
+(``test_engine_differential.py``).
+"""
 
 import pytest
+from loop_oracle import loop_fct
 
 from repro.simulation.flow import Flow
 from repro.simulation.metrics import FlowMetrics, normalized_against
-from repro.simulation.netsim import (
-    FlowSimulator,
-    HopSpec,
-    analytic_fct,
-    uniform_path,
-)
+from repro.simulation.netsim import FlowSimulator, HopSpec, uniform_path
 
 
 class TestHopSpec:
@@ -45,7 +46,7 @@ class TestAgreement:
         )
         path = uniform_path(hops)
         des = FlowSimulator(path).run(flow)
-        closed = analytic_fct(flow, path)
+        closed = loop_fct(flow, path)
         assert des.fct_us == pytest.approx(closed.fct_us, rel=1e-9)
         assert des.num_packets == closed.num_packets
 
@@ -53,17 +54,17 @@ class TestAgreement:
         flow = Flow(1, message_bytes=1024 * 10 + 1, packet_payload_bytes=1024)
         path = uniform_path(3)
         des = FlowSimulator(path).run(flow)
-        closed = analytic_fct(flow, path)
+        closed = loop_fct(flow, path)
         assert closed.fct_us >= des.fct_us
 
 
 class TestBehaviour:
     def test_overhead_increases_fct(self):
         path = uniform_path(5)
-        base = analytic_fct(
+        base = loop_fct(
             Flow(1, 1_000_000, 512, overhead_bytes=0), path
         )
-        loaded = analytic_fct(
+        loaded = loop_fct(
             Flow(1, 1_000_000, 512, overhead_bytes=108), path
         )
         assert loaded.fct_us > base.fct_us
@@ -72,7 +73,7 @@ class TestBehaviour:
     def test_fct_monotone_in_overhead(self):
         path = uniform_path(5)
         fcts = [
-            analytic_fct(Flow(1, 500_000, 512, overhead_bytes=ov), path).fct_us
+            loop_fct(Flow(1, 500_000, 512, overhead_bytes=ov), path).fct_us
             for ov in (0, 28, 48, 68, 88, 108)
         ]
         assert fcts == sorted(fcts)
@@ -81,8 +82,8 @@ class TestBehaviour:
         path = uniform_path(5)
 
         def degradation(payload):
-            base = analytic_fct(Flow(1, 1_000_000, payload), path)
-            loaded = analytic_fct(
+            base = loop_fct(Flow(1, 1_000_000, payload), path)
+            loaded = loop_fct(
                 Flow(1, 1_000_000, payload, overhead_bytes=108), path
             )
             return loaded.fct_us / base.fct_us
@@ -91,14 +92,14 @@ class TestBehaviour:
 
     def test_more_hops_increase_fct(self):
         flow = Flow(1, 100_000, 1024)
-        short = analytic_fct(flow, uniform_path(2))
-        long = analytic_fct(flow, uniform_path(6))
+        short = loop_fct(flow, uniform_path(2))
+        long = loop_fct(flow, uniform_path(6))
         assert long.fct_us > short.fct_us
 
     def test_slow_bottleneck_dominates(self):
         flow = Flow(1, 1_000_000, 1024)
-        fast = analytic_fct(flow, uniform_path(3, rate_gbps=100))
-        slow_middle = analytic_fct(
+        fast = loop_fct(flow, uniform_path(3, rate_gbps=100))
+        slow_middle = loop_fct(
             flow,
             [HopSpec(100), HopSpec(10), HopSpec(100)],
         )

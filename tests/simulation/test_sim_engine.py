@@ -2,20 +2,19 @@
 
 The heart of this module is the differential lock-in: the legacy
 hand-built-flow implementations of ``end_to_end_impact`` and
-``evaluate_trace`` are copied here verbatim as oracles, and the new
-spec+engine pipeline must reproduce them bit-for-bit through the
-analytic engine (and within documented tolerance through the others).
+``evaluate_trace`` are copied here verbatim as oracles (over the
+per-flow closed form of :mod:`loop_oracle`), and the spec+engine
+pipeline must reproduce them bit-for-bit through the default (batch)
+engine.
 """
 
 from typing import List, Sequence
 
 import pytest
+from loop_oracle import LoopEngine, loop_fct
 
+from repro.simulation.contention import ContentionEngine
 from repro.simulation.engine import (
-    BATCH_REL_TOLERANCE,
-    DEFAULT_ENGINE,
-    ENGINES,
-    AnalyticEngine,
     BatchEngine,
     Engine,
     ExactEngine,
@@ -24,7 +23,7 @@ from repro.simulation.engine import (
 )
 from repro.simulation.flow import Flow
 from repro.simulation.metrics import normalized_against
-from repro.simulation.netsim import HopSpec, analytic_fct, uniform_path
+from repro.simulation.netsim import HopSpec, uniform_path
 from repro.simulation.spec import SimulationSpec
 from repro.simulation.traces import (
     TraceConfig,
@@ -57,8 +56,8 @@ def legacy_end_to_end_impact(
         + baseline_flow.header_bytes
         + LEGACY_MIN_PAYLOAD_BYTES,
     )
-    baseline = analytic_fct(baseline_flow, path)
-    measured = analytic_fct(
+    baseline = loop_fct(baseline_flow, path)
+    measured = loop_fct(
         Flow(
             1,
             message_bytes,
@@ -83,7 +82,7 @@ def legacy_evaluate_trace(
     slowdowns: List[float] = []
     wire = 0
     for flow in trace:
-        loaded = analytic_fct(
+        loaded = loop_fct(
             Flow(
                 flow.flow_id,
                 flow.message_bytes,
@@ -93,7 +92,7 @@ def legacy_evaluate_trace(
             ),
             path,
         )
-        baseline = analytic_fct(
+        baseline = loop_fct(
             Flow(
                 flow.flow_id,
                 flow.message_bytes,
@@ -139,12 +138,18 @@ class TestDifferentialLockIn:
             assert new == old
 
     def test_harness_delegates_to_the_pipeline(self):
-        from repro.experiments.harness import end_to_end_impact
+        from repro.baselines import Ffl
+        from repro.experiments.harness import run_single_deployment
+        from repro.network.generators import linear_topology
+        from repro.workloads import real_programs
 
-        for overhead in OVERHEADS:
-            assert end_to_end_impact(overhead) == (
-                legacy_end_to_end_impact(overhead)
-            )
+        record = run_single_deployment(
+            real_programs(6), linear_topology(3), Ffl()
+        )
+        assert record.overhead_bytes > 0
+        assert (record.fct_ratio, record.goodput_ratio) == (
+            legacy_end_to_end_impact(record.overhead_bytes)
+        )
 
     @pytest.mark.parametrize("overhead", (0, 6, 64, 1400, 2000))
     def test_evaluate_trace_bit_for_bit(self, overhead):
@@ -177,15 +182,15 @@ class TestEngineAgreement:
         return SimulationSpec.from_trace(trace, uniform_path(5), 96)
 
     def test_batch_matches_analytic_within_tolerance(self):
+        """The retired analytic engine's per-flow loop (the tests'
+        oracle) and the batch engine agree with no tolerance at all."""
         spec = self._spec()
-        analytic = AnalyticEngine().evaluate(spec)
+        loop = LoopEngine().evaluate(spec)
         batch = BatchEngine().evaluate(spec)
-        assert batch.num_packets == analytic.num_packets
-        assert batch.wire_bytes == analytic.wire_bytes
-        for a, b in zip(analytic.fct_us, batch.fct_us):
-            assert b == pytest.approx(a, rel=BATCH_REL_TOLERANCE)
-        for a, b in zip(analytic.goodput_gbps, batch.goodput_gbps):
-            assert b == pytest.approx(a, rel=BATCH_REL_TOLERANCE)
+        assert batch.num_packets == loop.num_packets
+        assert batch.wire_bytes == loop.wire_bytes
+        assert batch.fct_us == loop.fct_us
+        assert batch.goodput_gbps == loop.goodput_gbps
 
     def test_exact_close_to_analytic_on_shared_support(self):
         # Messages dividing evenly into packets: the closed form is
@@ -195,8 +200,8 @@ class TestEngineAgreement:
             flows, uniform_path(4), 0, packet_payload_bytes=1024
         )
         exact = ExactEngine().evaluate(spec)
-        analytic = AnalyticEngine().evaluate(spec)
-        for a, e in zip(analytic.fct_us, exact.fct_us):
+        batch = BatchEngine().evaluate(spec)
+        for a, e in zip(batch.fct_us, exact.fct_us):
             assert e == pytest.approx(a, rel=1e-9)
 
     def test_engines_agree_on_plan_specs(self):
@@ -207,14 +212,10 @@ class TestEngineAgreement:
         network = random_wan(10, 16, seed=2)
         plan = Ffl().deploy(real_programs(8), network).plan
         spec = SimulationSpec.from_plan(plan, network)
-        analytic = AnalyticEngine().evaluate(spec)
+        loop = LoopEngine().evaluate(spec)
         batch = BatchEngine().evaluate(spec)
-        assert batch.fct_ratio == pytest.approx(
-            analytic.fct_ratio, rel=BATCH_REL_TOLERANCE
-        )
-        assert batch.goodput_ratio == pytest.approx(
-            analytic.goodput_ratio, rel=BATCH_REL_TOLERANCE
-        )
+        assert batch.fct_ratio == loop.fct_ratio
+        assert batch.goodput_ratio == loop.goodput_ratio
 
 
 class TestResultAggregates:
@@ -222,7 +223,7 @@ class TestResultAggregates:
         spec = SimulationSpec.uniform_sweep(
             (0, 100), message_bytes=102_400
         )
-        result = AnalyticEngine().evaluate(spec)
+        result = BatchEngine().evaluate(spec)
         assert result.num_flows == 2
         assert result.fct_ratios[0] == 1.0
         assert result.fct_ratios[1] > 1.0
@@ -237,32 +238,47 @@ class TestResultAggregates:
             uniform_path(5),
             0,
         )
-        result = AnalyticEngine().evaluate(spec)
+        result = BatchEngine().evaluate(spec)
         ordered = sorted(result.fct_us)
         assert result.p99_fct_us == ordered[min(100, int(0.99 * 101))]
 
 
 class TestEngineRegistry:
     def test_registry_names(self):
-        # get_engine lazily registers plugin engines (contention) on
-        # first lookup; force that before inspecting the registry.
-        get_engine("contention")
-        assert set(ENGINES) == {"exact", "analytic", "batch", "contention"}
-        assert DEFAULT_ENGINE == "analytic"
+        """No engine named is the batch closed form; a load alone is
+        the contention engine."""
+        assert isinstance(get_engine(), BatchEngine)
+        assert overhead_impact(48) == overhead_impact(48, engine="batch")
+        engine = get_engine(load=0.7)
+        assert isinstance(engine, ContentionEngine)
+        assert engine.load == 0.7
 
     def test_get_engine_resolves_names(self):
-        for name, cls in ENGINES.items():
+        for name, cls in (
+            ("exact", ExactEngine),
+            ("batch", BatchEngine),
+            ("contention", ContentionEngine),
+        ):
             engine = get_engine(name)
             assert isinstance(engine, cls)
             assert engine.name == name
+        assert get_engine("contention", load=0.7).load == 0.7
 
     def test_get_engine_passes_instances_through(self):
-        engine = AnalyticEngine()
+        engine = BatchEngine()
         assert get_engine(engine) is engine
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("quantum")
+        for name in ("quantum", "analytic"):
+            with pytest.raises(ValueError, match="unknown engine") as err:
+                get_engine(name)
+            assert "exact, batch, contention" in str(err.value)
+
+    @pytest.mark.parametrize("name", ("exact", "batch", "quantum"))
+    def test_load_with_another_engine_rejected(self, name):
+        with pytest.raises(ValueError) as err:
+            get_engine(name, load=0.5)
+        assert "exact, batch, contention" in str(err.value)
 
     def test_base_engine_is_abstract(self):
         with pytest.raises(NotImplementedError):

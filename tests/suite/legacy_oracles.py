@@ -495,39 +495,49 @@ FIG2_OVERHEAD_SWEEP = (28, 48, 68, 88, 108)
 FIG2_PACKET_SIZES = (512, 1024, 1500)
 
 
+def _closed_form_fct(flow, path):
+    """The retired per-flow closed form (``analytic_fct``), copied.
+
+    ``sum(t_h) + sum(l_h) + (N - 1) * max(t_h)`` with both sums taken
+    left to right, the order ``sum()`` added floats in before Python
+    3.12.  Returns ``(fct_us, goodput_gbps)``.
+    """
+    wire = flow.effective_payload_bytes + flow.overhead_bytes + flow.header_bytes
+    tx_times = [hop.tx_time_us(wire) for hop in path]
+    tx_sum = 0
+    for tx in tx_times:
+        tx_sum += tx
+    latency_sum = 0
+    for hop in path:
+        latency_sum += hop.latency_us
+    fct = tx_sum + latency_sum + (flow.num_packets - 1) * max(tx_times)
+    return fct, flow.message_bytes * 8.0 / (fct * 1000.0)
+
+
 def fig2_rows(
     overheads: Sequence[int] = FIG2_OVERHEAD_SWEEP,
     packet_sizes: Sequence[int] = FIG2_PACKET_SIZES,
     message_bytes: int = 1_000_000,
     hops: int = 5,
-    use_des: bool = False,
 ):
     """(packet_size, overhead, fct_ratio, goodput_ratio) rows."""
-    from repro.simulation.engine import get_engine
+    from repro.simulation.flow import flow_pair
+    from repro.simulation.netsim import uniform_path
     from repro.simulation.packet import BASE_HEADER_BYTES
-    from repro.simulation.spec import SimulationSpec
 
+    path = uniform_path(hops)
     rows = []
     for packet_size in packet_sizes:
         payload = max(packet_size - BASE_HEADER_BYTES, 1)
-        spec = SimulationSpec.uniform_sweep(
-            tuple(overheads),
-            packet_payload_bytes=payload,
-            hops=hops,
-            message_bytes=message_bytes,
-        )
-        result = get_engine(
-            "exact" if use_des else "analytic"
-        ).evaluate(spec)
-        rows.extend(
-            (
-                packet_size,
-                overhead,
-                result.fct_ratios[i],
-                result.goodput_ratios[i],
+        for flow_id, overhead in enumerate(overheads):
+            baseline, measured = flow_pair(
+                message_bytes, payload, overhead, flow_id=flow_id
             )
-            for i, overhead in enumerate(overheads)
-        )
+            fct_b, goodput_b = _closed_form_fct(baseline, path)
+            fct_m, goodput_m = _closed_form_fct(measured, path)
+            rows.append(
+                (packet_size, overhead, fct_m / fct_b, goodput_m / goodput_b)
+            )
     return rows
 
 

@@ -36,7 +36,7 @@ class TestValidate:
 class TestRun:
     def test_fig2_tables_match_the_legacy_bytes(self, capsys):
         """The shipped fig2 spec through the CLI reproduces the
-        pre-refactor stdout bit for bit (analytic: deterministic)."""
+        pre-refactor stdout bit for bit (closed form: deterministic)."""
         assert main(["suite", "run", "fig2"]) == 0
         out = capsys.readouterr().out
         expected = fig2_render(fig2_rows())

@@ -182,6 +182,29 @@ class TestRunSuite:
         # peak hour carries more contention than the trough
         assert by_hour[6]["load"] > by_hour[0]["load"]
 
+    @pytest.mark.parametrize(
+        "params,engine",
+        (({}, "batch"), ({"engine": "batch"}, "batch"),
+         ({"engine": "exact"}, "exact")),
+    )
+    def test_overhead_sweep_runs_the_named_engine(self, params, engine):
+        spec = SuiteSpec.from_dict(
+            {
+                "suite": "repro.suite/v1",
+                "name": "s",
+                "kind": "overhead_sweep",
+                "axes": {"packet_sizes": [1024], "overheads": [48]},
+                "params": {"message_bytes": 102_400, **params},
+            }
+        )
+        recorder = Recorder()
+        with attached(recorder):
+            run_suite(spec)
+        assert {
+            e["engine"] for e in recorder.events
+            if e["kind"] == "sim.evaluate"
+        } == {engine}
+
     def test_resources_suite_uses_the_frameworks_axis(self):
         spec = SuiteSpec.from_dict(
             {

@@ -11,7 +11,7 @@ experiment:
   *entirely from cache* (proving key identity) and render the same
   bytes.
 
-Deterministic pipelines (fig2's analytic sweep, exp6's resource
+Deterministic pipelines (fig2's closed-form sweep, exp6's resource
 accounting, exp7's seeded histories) are compared across independent
 runs instead.
 """

@@ -154,6 +154,23 @@ class TestValidation:
         with pytest.raises(SuiteSpecError, match="tag_axis"):
             SuiteSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("engine", ("exact", "batch"))
+    def test_overhead_sweep_engines(self, engine):
+        doc = minimal("overhead_sweep")
+        doc["params"] = {"engine": engine}
+        assert SuiteSpec.from_dict(doc).params["engine"] == engine
+
+    @pytest.mark.parametrize(
+        "engine", ("contention", "analytic", "bogus", 1)
+    )
+    def test_overhead_sweep_rejects_other_engines(self, engine):
+        """Fig. 2 needs independent flows: exact or batch, nothing
+        else, and no name is silently read as the closed form."""
+        doc = minimal("overhead_sweep")
+        doc["params"] = {"engine": engine}
+        with pytest.raises(SuiteSpecError, match="'exact' or 'batch'"):
+            SuiteSpec.from_dict(doc)
+
     def test_non_integer_seeds(self):
         doc = minimal("churn")
         doc["axes"]["seeds"] = [0.5]
