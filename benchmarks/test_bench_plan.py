@@ -2,12 +2,14 @@
 
 ``refine_plan`` screens candidate moves through a
 :class:`repro.plan.PlanBuilder` probe — apply the move incrementally,
-read ``A_max``, undo — and only rebuilds the candidates the probe
-proves improving, reusing the stage layouts it memoizes per switch and
-MAT set.  This benchmark keeps a faithful copy of the legacy loop (full
-rebuild per candidate, no memo) and times both on the Exp#2 golden
-family, asserting the refined plans are metric-identical (the probe
-filter is exact, so the accepted-move sequences match).
+read ``A_max``, undo — and only builds the candidates the probe
+proves improving, assembling each from the stage layouts it memoizes
+per switch and MAT set and verifying it from tables memoized on the
+TDG.  This benchmark times it against the legacy loop of
+``tests/core/refine_oracle.py`` (a ``PlanBuilder`` rebuild of every
+candidate, no memo, the verifier before its tables) on the Exp#2
+golden family, asserting the refined plans are metric-identical (the
+probe filter is exact, so the accepted-move sequences match).
 
 Results are written to ``BENCH_plan.json`` at the repo root so the
 refine-loop wall-time contract is auditable across commits.
@@ -15,19 +17,23 @@ refine-loop wall-time contract is auditable across commits.
 
 import json
 import os
+import sys
 import time
 
 import pytest
 
 from repro.core.analyzer import ProgramAnalyzer
 from repro.core.heuristic import GreedyHeuristic
-from repro.core.refine import _rebuild, refine_plan
+from repro.core.refine import refine_plan
 from repro.experiments.exp2_overhead import workload
 from repro.network.paths import PathEnumerator
 from repro.network.topozoo import topology_zoo_wan
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_plan.json")
+
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests", "core"))
+from refine_oracle import legacy_refine_plan  # noqa: E402
 
 #: Golden Exp#2-family instances: (label, topology id, program count).
 #: Sized so the unrefined greedy plan is feasible and the refine loop
@@ -40,54 +46,6 @@ GOLDEN = [
 ]
 
 REPS = 3
-
-
-def legacy_refine_plan(plan, paths, max_moves=40, max_trials_per_move=24):
-    """The historical refine loop: full rebuild per candidate move."""
-    current = plan
-    for _round in range(max_moves):
-        pairs = current.pair_metadata_bytes()
-        if not pairs:
-            break
-        best_amax = max(pairs.values())
-        (u, v), _bytes = max(pairs.items(), key=lambda kv: kv[1])
-        crossing = sorted(
-            (
-                e
-                for e in current.tdg.edges
-                if current.switch_of(e.upstream) == u
-                and current.switch_of(e.downstream) == v
-            ),
-            key=lambda e: e.metadata_bytes,
-            reverse=True,
-        )
-        hosts = {
-            name: placement.switch
-            for name, placement in current.placements.items()
-        }
-        improved = False
-        trials = 0
-        for edge in crossing:
-            if trials >= max_trials_per_move or improved:
-                break
-            for mat_name, target in (
-                (edge.upstream, v),
-                (edge.downstream, u),
-            ):
-                trials += 1
-                trial_hosts = dict(hosts)
-                trial_hosts[mat_name] = target
-                candidate = _rebuild(current, trial_hosts, paths)
-                if (
-                    candidate is not None
-                    and candidate.max_metadata_bytes() < best_amax
-                ):
-                    current = candidate
-                    improved = True
-                    break
-        if not improved:
-            break
-    return current
 
 
 def _time_best_of(fn, reps=REPS):

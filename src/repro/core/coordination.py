@@ -10,6 +10,11 @@ switches.  This module materializes that coordination:
   layout actually emitted by the backend (equal fields shipped once);
 * :class:`CoordinationAnalysis`, the per-plan summary the experiments
   read their overhead numbers from.
+
+What an edge ships depends only on the TDG, so each edge's field set
+is memoized on the graph (:meth:`~repro.tdg.graph.Tdg.memoized`) the
+first time a channel needs it; every plan of that graph reuses it, and
+only the grouping of edges into channels is per plan.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.dataplane.fields import Field, FieldSet
 from repro.dataplane.mat import Mat
 from repro.plan.artifact import DeploymentPlan
 from repro.tdg.dependencies import DependencyType
-from repro.tdg.graph import TdgEdge
+from repro.tdg.graph import Tdg, TdgEdge
 
 
 def edge_metadata_fields(
@@ -71,6 +76,16 @@ class MetadataChannel:
         return [f.name for f, _offset in self.layout]
 
 
+def _shipped_fields(tdg: Tdg) -> Dict[Tuple[str, str], FieldSet]:
+    """Each edge's :func:`edge_metadata_fields`, by edge key.
+
+    Memoized per graph and filled in as channels first need an edge, so
+    an edge that never crosses switches is never derived (and a field
+    conflict inside one surfaces only when it ships, as it always did).
+    """
+    return {}
+
+
 class CoordinationAnalysis:
     """Derives all coordination channels of a deployment plan."""
 
@@ -80,24 +95,46 @@ class CoordinationAnalysis:
         self._build()
 
     def _build(self) -> None:
+        plan = self.plan
+        tdg = plan.tdg
+        edges = tdg.edges
+        hosts = {name: p.switch for name, p in plan.placements.items()}
         grouped: Dict[Tuple[str, str], List[TdgEdge]] = {}
-        for edge in self.plan.tdg.edges:
-            u = self.plan.switch_of(edge.upstream)
-            v = self.plan.switch_of(edge.downstream)
-            if u == v or edge.metadata_bytes == 0:
-                continue
-            grouped.setdefault((u, v), []).append(edge)
-
-        for (u, v), edges in grouped.items():
-            fields = FieldSet()
-            declared = 0
+        try:
             for edge in edges:
-                upstream = self.plan.tdg.node(edge.upstream)
-                downstream = self.plan.tdg.node(edge.downstream)
-                fields = fields.union(
-                    edge_metadata_fields(upstream, downstream, edge.dep_type)
+                u = hosts[edge.upstream]
+                v = hosts[edge.downstream]
+                if u == v or edge.metadata_bytes == 0:
+                    continue
+                grouped.setdefault((u, v), []).append(edge)
+        except KeyError:
+            # Let the plan name the first unplaced endpoint.
+            for edge in edges:
+                plan.switch_of(edge.upstream)
+                plan.switch_of(edge.downstream)
+            raise
+
+        shipped = tdg.memoized(_shipped_fields)
+
+        def fields_of(edge: TdgEdge) -> FieldSet:
+            fields = shipped.get(edge.key)
+            if fields is None:
+                fields = shipped[edge.key] = edge_metadata_fields(
+                    tdg.node(edge.upstream),
+                    tdg.node(edge.downstream),
+                    edge.dep_type,
                 )
-                declared += edge.metadata_bytes
+            return fields
+
+        for (u, v), pair_edges in grouped.items():
+            # One FieldSet over the edges' fields in edge order keeps
+            # each name's first definition and raises on a conflicting
+            # one, as a chain of pairwise unions would; the generator
+            # derives an edge only after the earlier ones passed.
+            fields = FieldSet(
+                field for edge in pair_edges for field in fields_of(edge)
+            )
+            declared = sum(edge.metadata_bytes for edge in pair_edges)
             layout: List[Tuple[Field, int]] = []
             offset = 0
             for field in sorted(fields, key=lambda f: f.name):
@@ -106,7 +143,7 @@ class CoordinationAnalysis:
             self.channels[(u, v)] = MetadataChannel(
                 source=u,
                 destination=v,
-                edges=edges,
+                edges=pair_edges,
                 declared_bytes=declared,
                 layout=layout,
                 layout_bytes=offset,

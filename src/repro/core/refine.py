@@ -9,7 +9,7 @@ repeat up to ``max_moves`` times:
   1. find the worst switch pair ``(u, v)``;
   2. for each TDG edge crossing it (heaviest first), try moving one
      endpoint to the other side;
-  3. rebuild the plan with the move applied; keep the move iff the
+  3. build the plan with the move applied; keep the move iff the
      plan stays valid and ``A_max`` strictly drops.
 
 Every accepted move lowers ``A_max`` by at least one byte, so the
@@ -19,19 +19,26 @@ search terminates.
 layouts or routing — so candidate moves are screened through a
 :class:`~repro.plan.builder.PlanBuilder` *probe* first: apply the move
 incrementally (O(degree)), read the candidate ``A_max``, undo.  Only
-moves the probe proves improving pay for the full rebuild.  The filter
+moves the probe proves improving pay for a candidate plan.  The filter
 is exact — a probe-rejected candidate is precisely one the legacy
 search would have rejected after rebuilding — so the accepted-move
 sequence, and therefore the refined plan, is identical to the
 historical implementation; only the wall-clock drops (see
 ``benchmarks/test_bench_plan.py``).
 
-A trial costs one probe move and undo.  A rebuild lays out only the
-switches whose MAT set this call has not laid out before, normally
-the two the move touches: layouts, failures included, are memoized
-per switch and MAT set.  It routes every occupied pair from the path
-enumerator's cached shortest-path trees and pays in full for
-``validate()`` and the dataflow verifier.
+A trial costs one probe move and undo.  A candidate the probe passes
+is assembled, not rebuilt, and a rejected one no longer pays for a
+rebuild.  Stage layouts, failures included, are memoized per switch
+and MAT set, and every switch's layout is looked up before anything
+is placed: only switches whose MAT set this call has not seen before
+(normally the two the move touches) are laid out, and a layout that
+does not fit rejects the candidate at once.  A feasible candidate is
+put together from the memoized placement records, without a
+:class:`~repro.plan.builder.PlanBuilder`, and routed from the path
+enumerator's cached shortest-path trees.  ``validate()`` and the
+dataflow verifier still run in full on it; the verifier reads tables
+memoized on the TDG, so the candidates of one call derive them once.
+The builder-based rebuild survives only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -39,19 +46,35 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages
-from repro.network.paths import PathEnumerator
+from repro.network.paths import Path, PathEnumerator
 from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
 )
 from repro.plan.builder import PlanBuilder
+from repro.tdg.graph import Tdg
 
 
 #: Stage layouts memoized per ``(switch, frozenset(MAT names))``; None
 #: records that the MATs do not fit.  ``Tdg.subgraph`` ignores the
 #: order of the names, so the MAT set alone determines the layout.
 Layouts = Dict[Tuple[str, FrozenSet[str]], Optional[Dict[str, MatPlacement]]]
+
+
+def _neighbours(
+    tdg: Tdg,
+) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """Each MAT's successors and predecessors, sorted by name: the order
+    in which :class:`~repro.plan.builder.PlanBuilder` visits a placed
+    MAT's out- and in-edges.  Memoized per graph."""
+    return {
+        name: (
+            tuple(sorted(tdg.successors(name))),
+            tuple(sorted(tdg.predecessors(name))),
+        )
+        for name in tdg.node_names
+    }
 
 
 def _rebuild(
@@ -63,13 +86,20 @@ def _rebuild(
     """A full plan from a MAT->switch mapping, or None if infeasible.
 
     ``layouts`` carries stage layouts across calls on one TDG and
-    network; without it every switch is laid out afresh.
+    network; without it every switch is laid out afresh.  Every
+    switch's layout is looked up before anything is placed, so an
+    infeasible one rejects the mapping at once.  A feasible mapping is
+    assembled from the memoized placement records, in the order a
+    ``PlanBuilder`` placing them switch by switch would hold them, and
+    each communicating pair is routed in the order that builder first
+    meets it (``Backend.compile`` emits forwarding entries in routing
+    order).  ``validate()`` and the dataflow verifier then run in full.
     """
     layouts = {} if layouts is None else layouts
-    builder = PlanBuilder(plan.tdg, plan.network)
     by_switch: Dict[str, List[str]] = {}
     for mat_name, switch in hosts.items():
         by_switch.setdefault(switch, []).append(mat_name)
+    placements: Dict[str, MatPlacement] = {}
     for switch, names in by_switch.items():
         key = (switch, frozenset(names))
         if key not in layouts:
@@ -83,13 +113,26 @@ def _rebuild(
         layout = layouts[key]
         if layout is None:
             return None
-        for placement in layout.values():
-            builder.place(
-                placement.mat_name, placement.switch, placement.stages
-            )
+        placements.update(layout)
+
+    neighbours = plan.tdg.memoized(_neighbours)
+    placed: Dict[str, str] = {}
+    routing: Dict[Tuple[str, str], Path] = {}
+    for mat_name, placement in placements.items():
+        here = placed[mat_name] = placement.switch
+        successors, predecessors = neighbours[mat_name]
+        pairs = [(here, placed[d]) for d in successors if d in placed]
+        pairs += [(placed[p], here) for p in predecessors if p in placed]
+        for pair in pairs:
+            if pair[0] == pair[1] or pair in routing:
+                continue
+            path = paths.shortest(*pair)
+            if path is None:
+                return None
+            routing[pair] = path
+    candidate = DeploymentPlan(plan.tdg, plan.network, placements, routing)
     try:
-        builder.route_shortest(paths)
-        candidate = builder.build()
+        candidate.validate()
     except DeploymentError:
         return None
     # Structural validity is not enough: a move can strand metadata

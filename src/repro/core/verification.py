@@ -19,15 +19,23 @@ therefore runs to a fixpoint over *rounds*: each round corresponds to
 one traversal of the occupied switches, and the number of rounds needed
 is reported — a plan needing ``k`` rounds requires ``k - 1``
 recirculations through part of the network.
+
+What a MAT needs and produces does not depend on where it is placed,
+so those tables are derived once per TDG and memoized on it
+(:meth:`~repro.tdg.graph.Tdg.memoized`); a call only groups the plan's
+MATs by switch and reads the channels of
+:class:`~repro.core.coordination.CoordinationAnalysis`.  Refinement
+verifies many candidate plans of one TDG and pays for the tables once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.coordination import CoordinationAnalysis
-from repro.plan.artifact import DeploymentPlan
+from repro.plan.artifact import DeploymentPlan, MatPlacement
+from repro.tdg.graph import Tdg
 
 
 class DataflowError(AssertionError):
@@ -87,6 +95,52 @@ def _visit_order(plan: DeploymentPlan) -> List[str]:
     return order
 
 
+#: Per MAT name: its TDG predecessors; the metadata names it reads that
+#: some MAT writes; the metadata names it produces.
+_Tables = Tuple[
+    Dict[str, Tuple[str, ...]],
+    Dict[str, Tuple[str, ...]],
+    Dict[str, FrozenSet[str]],
+]
+
+
+def _dataflow_tables(tdg: Tdg) -> _Tables:
+    """The verifier's placement-independent tables; memoized per graph.
+
+    A metadata read no MAT writes is a parser constant, not
+    coordination, so it is left out and never checked.
+    """
+    produced = {
+        mat.name: mat.modified_fields.metadata_only().names
+        for mat in tdg.mats
+    }
+    written = frozenset().union(*produced.values())
+    predecessors = {name: tuple(tdg.predecessors(name)) for name in produced}
+    reads = {
+        mat.name: tuple(
+            fld.name
+            for fld in mat.read_fields
+            if fld.is_metadata and fld.name in written
+        )
+        for mat in tdg.mats
+    }
+    return predecessors, reads, produced
+
+
+def _hosted(plan: DeploymentPlan) -> Dict[str, List[str]]:
+    """Per switch, ``plan.mats_on(switch)``, from one pass."""
+    on: Dict[str, List[MatPlacement]] = {}
+    for placement in plan.placements.values():
+        on.setdefault(placement.switch, []).append(placement)
+    return {
+        switch: [
+            p.mat_name
+            for p in sorted(ps, key=lambda p: (p.first_stage, p.mat_name))
+        ]
+        for switch, ps in on.items()
+    }
+
+
 def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
     """Symbolically execute the plan; raise if any input is undeliverable.
 
@@ -97,8 +151,13 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
             produce.
     """
     coordination = CoordinationAnalysis(plan)
-    tdg = plan.tdg
+    predecessors, reads, produced_by = plan.tdg.memoized(_dataflow_tables)
     occupied = _visit_order(plan)
+    placements = plan.placements
+    for name in produced_by:
+        if name not in placements:
+            plan.switch_of(name)  # raises, naming the unplaced MAT
+    hosted = _hosted(plan)
 
     channel_fields: Dict[Tuple[str, str], Set[str]] = {
         pair: {f.name for f, _off in channel.layout}
@@ -108,12 +167,6 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
     outgoing: Dict[str, List[Tuple[str, Set[str]]]] = {}
     for (u, v), names in channel_fields.items():
         outgoing.setdefault(u, []).append((v, names))
-    # Writers of each metadata field, with their host switch.
-    writers: Dict[str, List[Tuple[str, str]]] = {}
-    for mat in tdg.mats:
-        host = plan.switch_of(mat.name)
-        for fld in mat.modified_fields.metadata_only():
-            writers.setdefault(fld.name, []).append((mat.name, host))
 
     executed: Set[str] = set()
     ever_produced_on: Dict[str, Set[str]] = {s: set() for s in occupied}
@@ -122,7 +175,7 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
     reads_checked = 0
     rounds = 0
 
-    total = len(tdg.node_names)
+    total = len(produced_by)
     while len(executed) < total:
         rounds += 1
         progress = False
@@ -132,54 +185,43 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
             # earlier visit of this same switch are gone — exactly the
             # hardware's PHV semantics the interpreter implements.
             visit_fields: Set[str] = set(arrived_on[switch])
-
-            def try_execute(mat_name: str) -> bool:
-                nonlocal reads_checked
-                if any(
-                    p not in executed
-                    for p in tdg.predecessors(mat_name)
-                ):
-                    return False
-                mat = tdg.node(mat_name)
-                for fld in mat.read_fields:
-                    if not fld.is_metadata:
-                        continue
-                    if fld.name not in writers:
-                        continue  # parser constant, not coordination
-                    reads_checked += 1
-                    if fld.name not in visit_fields:
-                        reads_checked -= 1  # retried next visit
-                        return False
-                return True
-
-            for mat_name in plan.mats_on(switch):
+            ran = False
+            for mat_name in hosted[switch]:
                 if mat_name in executed:
                     continue
-                if not try_execute(mat_name):
+                if any(p not in executed for p in predecessors[mat_name]):
+                    continue
+                ready = True
+                for name in reads[mat_name]:
+                    if name not in visit_fields:
+                        ready = False  # retried next visit
+                        break
+                    reads_checked += 1
+                if not ready:
                     continue
                 executed.add(mat_name)
                 execution_order.append(mat_name)
-                progress = True
-                mat = tdg.node(mat_name)
-                produced = mat.modified_fields.metadata_only().names
+                ran = True
+                produced = produced_by[mat_name]
                 visit_fields |= produced
                 ever_produced_on[switch] |= produced
+            if ran:
+                progress = True
                 # Ship per field: piggyback headers carry whatever
                 # values exist when the packet leaves this visit.
                 for v, names in outgoing.get(switch, ()):
                     arrived_on[v] |= names & visit_fields
         if not progress:
-            stuck = sorted(set(tdg.node_names) - executed)
+            stuck = sorted(set(plan.tdg.node_names) - executed)
             raise DataflowError(
                 f"deployment cannot make progress; stuck MATs: {stuck}"
             )
-    produced_on = ever_produced_on
 
     # Channel sanity: everything shipped must have a producer on the
     # source switch.
     shipped: Dict[Tuple[str, str], List[str]] = {}
     for (u, v), names in channel_fields.items():
-        missing = sorted(names - produced_on[u])
+        missing = sorted(names - ever_produced_on[u])
         if missing:
             raise DataflowError(
                 f"channel {u!r}->{v!r} ships fields its source never "

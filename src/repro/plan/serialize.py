@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.atomic import atomic_write
 from repro.dataplane.actions import Action, ActionPrimitive
@@ -375,6 +375,21 @@ def plan_fingerprint(plan: DeploymentPlan) -> str:
         opener = ","
     digest.update(b"}")
     return digest.hexdigest()
+
+
+def plan_document(plan: DeploymentPlan) -> Tuple[Dict[str, Any], str]:
+    """``(plan_to_dict(plan), plan_fingerprint(plan))``, building the TDG
+    section once.
+
+    When ``plan.tdg`` has no memoized section text yet, it is dumped
+    from the document's own ``tdg`` dict and memoized before hashing,
+    instead of being rebuilt from the graph.  The text is taken before
+    the document is returned, so a caller that edits the document
+    cannot change a later fingerprint.
+    """
+    document = plan_to_dict(plan)
+    plan.tdg.memoized(_tdg_section, lambda: canonical_dumps(document["tdg"]))
+    return document, plan_fingerprint(plan)
 
 
 def write_plan(plan: DeploymentPlan, path: str) -> None:

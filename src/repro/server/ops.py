@@ -178,11 +178,13 @@ def deploy_doc(
     :func:`deterministic_view` leaves it out.
     """
     from repro.core import CoordinationAnalysis
+    from repro.plan.serialize import plan_document
 
     channels = CoordinationAnalysis(plan)
+    document, fingerprint = plan_document(plan)
     doc: Dict[str, Any] = {
-        "plan": plan.to_dict(),
-        "fingerprint": plan.fingerprint(),
+        "plan": document,
+        "fingerprint": fingerprint,
         "summary": {
             "num_mats": len(plan.placements),
             "num_programs": num_programs,

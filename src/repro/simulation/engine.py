@@ -217,8 +217,6 @@ class BatchEngine(Engine):
         rates = np.full((len(spec.paths), num_hops), np.inf)
         lat_sum = np.empty(len(spec.paths))
         for p, path in enumerate(spec.paths):
-            if not path:
-                raise ValueError("path needs at least one hop")
             total = 0
             for h, hop in enumerate(path):
                 rates[p, h] = hop.rate_gbps * 1000.0

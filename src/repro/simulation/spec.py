@@ -223,8 +223,8 @@ class SimulationSpec:
     """Traffic + hop chains, ready for any engine.
 
     Attributes:
-        paths: Hop chains flows traverse; ``FlowSpec.path_id`` indexes
-            this tuple.
+        paths: Hop chains flows traverse, each of at least one hop;
+            ``FlowSpec.path_id`` indexes this tuple.
         flows: The flows to evaluate.  Each is normalized against a
             zero-overhead twin on the same path (engines compute both).
             Spec order within a path is the contention engine's
@@ -242,6 +242,9 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("spec needs at least one path")
+        for index, path in enumerate(self.paths):
+            if not path:
+                raise ValueError(f"path {index} needs at least one hop")
         if not self.flows:
             raise ValueError("spec needs at least one flow")
         for flow in self.flows:

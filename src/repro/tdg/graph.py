@@ -89,18 +89,25 @@ class Tdg:
         self._memo.clear()
         self._name = value
 
-    def memoized(self, derive: Callable[["Tdg"], T]) -> T:
+    def memoized(
+        self,
+        derive: Callable[["Tdg"], T],
+        compute: Optional[Callable[[], T]] = None,
+    ) -> T:
         """``derive(self)``, computed once until the graph next changes.
 
         ``derive`` must depend only on the graph's name, MATs and edges;
-        every mutator clears the cache.  The plan document's canonical
-        TDG section is kept here, so plans that share a graph serialize
-        it once.
+        every mutator clears the cache.  ``compute``, when given, stands
+        in for ``derive(self)`` on a miss: a caller already holding what
+        ``derive`` would build passes a cheaper way to the same value.
+        The plan document's canonical TDG section is kept here, so plans
+        that share a graph serialize it once.
         """
         try:
             return self._memo[derive]
         except KeyError:
-            value = self._memo[derive] = derive(self)
+            value = derive(self) if compute is None else compute()
+            self._memo[derive] = value
             return value
 
     # ------------------------------------------------------------------

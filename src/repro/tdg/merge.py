@@ -24,18 +24,24 @@ from repro.tdg.graph import CycleError, Tdg
 
 
 def _union(t1: Tdg, t2: Tdg, name: str) -> Tdg:
-    merged = Tdg(name)
-    for source in (t1, t2):
-        for mat in source.mats:
-            merged.add_node(mat)
-        for edge in source.edges:
-            if not merged.has_edge(edge.upstream, edge.downstream):
-                merged.add_edge(
-                    edge.upstream,
-                    edge.downstream,
-                    edge.dep_type,
-                    edge.metadata_bytes,
-                )
+    merged = t1.copy()
+    merged.name = name  # copy(name) would keep t1's name for ""
+    disjoint = not any(mat.name in merged for mat in t2.mats)
+    for mat in t2.mats:
+        merged.add_node(mat)
+    for edge in t2.edges:
+        if disjoint:
+            # t2's edges join only t2's nodes, a component of their
+            # own in the union, so they cannot close a cycle there:
+            # share them unchecked, as ``Tdg.copy`` does.
+            merged._insert_edge(edge)
+        elif not merged.has_edge(edge.upstream, edge.downstream):
+            merged.add_edge(
+                edge.upstream,
+                edge.downstream,
+                edge.dep_type,
+                edge.metadata_bytes,
+            )
     return merged
 
 

@@ -1,19 +1,21 @@
 """Differential test: probe-filtered refine == the legacy refine.
 
 ``refine_plan`` screens candidate moves through an incremental
-:class:`PlanBuilder` probe before paying for a full rebuild.  The
-filter must be *exact*: the probe's ``A_max`` for a candidate host map
-equals what the rebuilt plan would report, so the accepted-move
-sequence — and therefore the final plan — is identical to the
-historical implementation that rebuilt every candidate.  This module
-keeps a faithful copy of the legacy loop and checks plan equality on
-representative workloads.  The copy calls ``_rebuild`` without the
-stage-layout memo ``refine_plan`` passes, so it checks the memo too.
+:class:`PlanBuilder` probe before paying for a rebuild, and builds a
+candidate from memoized stage layouts.  The filter must be *exact*: the
+probe's ``A_max`` for a candidate host map equals what the rebuilt plan
+would report, so the accepted-move sequence — and therefore the final
+plan — is identical to the historical implementation that rebuilt every
+candidate.  That implementation is :mod:`refine_oracle`'s
+``legacy_refine_plan``, which rebuilds through a ``PlanBuilder``
+without the stage-layout memo ``refine_plan`` passes, so the memo and
+the direct assembly are checked too.
 """
 
 import random
 
 import pytest
+from refine_oracle import legacy_refine_plan
 
 from repro.cli import parse_workload
 from repro.core.heuristic import GreedyHeuristic
@@ -25,55 +27,6 @@ from repro.network.topozoo import topology_zoo_wan
 from repro.plan import plan_fingerprint
 from repro.workloads.switchp4 import real_programs
 from repro.workloads.synthetic import synthetic_programs
-
-
-def legacy_refine_plan(plan, paths=None, max_moves=40, max_trials_per_move=24):
-    """The historical refine loop: full rebuild per candidate move."""
-    paths = paths or PathEnumerator(plan.network)
-    current = plan
-    for _round in range(max_moves):
-        pairs = current.pair_metadata_bytes()
-        if not pairs:
-            break
-        best_amax = max(pairs.values())
-        (u, v), _bytes = max(pairs.items(), key=lambda kv: kv[1])
-        crossing = sorted(
-            (
-                e
-                for e in current.tdg.edges
-                if current.switch_of(e.upstream) == u
-                and current.switch_of(e.downstream) == v
-            ),
-            key=lambda e: e.metadata_bytes,
-            reverse=True,
-        )
-        hosts = {
-            name: placement.switch
-            for name, placement in current.placements.items()
-        }
-        improved = False
-        trials = 0
-        for edge in crossing:
-            if trials >= max_trials_per_move or improved:
-                break
-            for mat_name, target in (
-                (edge.upstream, v),
-                (edge.downstream, u),
-            ):
-                trials += 1
-                trial_hosts = dict(hosts)
-                trial_hosts[mat_name] = target
-                candidate = _rebuild(current, trial_hosts, paths)
-                if (
-                    candidate is not None
-                    and candidate.max_metadata_bytes() < best_amax
-                ):
-                    current = candidate
-                    improved = True
-                    break
-        if not improved:
-            break
-    return current
 
 
 def unrefined_plan(programs, network):
@@ -127,8 +80,8 @@ def test_refine_matches_legacy_rebuild_search(make):
     paths = PathEnumerator(network)
     legacy = legacy_refine_plan(plan, paths)
     fast = refine_plan(plan, paths)
-    assert dict(fast.placements) == dict(legacy.placements)
-    assert set(fast.routing) == set(legacy.routing)
+    assert list(fast.placements.items()) == list(legacy.placements.items())
+    assert list(fast.routing.items()) == list(legacy.routing.items())
     assert fast.max_metadata_bytes() == legacy.max_metadata_bytes()
     assert plan_fingerprint(fast) == plan_fingerprint(legacy)
 

@@ -292,6 +292,55 @@ class TestFingerprintDifferential:
             assert clone.fingerprint() == expected
 
 
+class TestDeployDocument:
+    """``deploy_doc`` builds the TDG section once: on a cold memo it
+    memoizes the text of the document's own ``tdg`` dict, and the
+    document's fingerprint is still the hash of the whole document."""
+
+    @staticmethod
+    def _deploy_doc(plan, monkeypatch):
+        """The deploy document, and how often it built the TDG dict."""
+        import repro.plan.serialize as serialize
+        from repro.server.ops import deploy_doc
+
+        calls = []
+        build = serialize._tdg_to_dict
+
+        def counting(tdg):
+            calls.append(tdg)
+            return build(tdg)
+
+        monkeypatch.setattr(serialize, "_tdg_to_dict", counting)
+        doc = deploy_doc(plan, 4, {}, 0.0, 0.0)
+        monkeypatch.undo()
+        return doc, len(calls)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_fingerprint_equals_full_digest(self, warm, monkeypatch):
+        plan = deploy(4)
+        expected = full_digest(plan)
+        if warm:
+            plan.fingerprint()
+        doc, builds = self._deploy_doc(plan, monkeypatch)
+        assert builds == 1
+        assert doc["plan"] == plan_to_dict(plan)
+        assert doc["fingerprint"] == expected
+        assert plan.fingerprint() == expected
+
+    def test_editing_the_document_cannot_change_a_fingerprint(
+        self, monkeypatch
+    ):
+        plan = deploy(4)
+        expected = full_digest(plan)
+        doc, _builds = self._deploy_doc(plan, monkeypatch)
+        doc["plan"]["tdg"]["name"] = "edited"
+        doc["plan"]["tdg"]["edges"].clear()
+        doc["plan"]["placements"].clear()
+        assert plan.fingerprint() == expected
+        assert plan_fingerprint(plan) == expected
+        assert full_digest(plan) == expected
+
+
 def _extra_mat(name):
     return Mat(name, actions=[Action("noop", ActionPrimitive.NO_OP)])
 

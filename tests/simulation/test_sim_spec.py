@@ -5,6 +5,7 @@ import pytest
 from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import path_latency_us, shortest_path
 from repro.plan.artifact import DeploymentError
+from repro.simulation.engine import get_engine
 from repro.simulation.flow import (
     MIN_PAYLOAD_BYTES,
     flow_pair,
@@ -83,6 +84,24 @@ class TestConstructors:
         with pytest.raises(ValueError):
             SimulationSpec(
                 paths=(tuple(uniform_path(2)),), flows=()
+            )
+
+    @pytest.mark.parametrize("engine", ["exact", "batch", "contention"])
+    def test_empty_hop_chain_rejected_at_construction(self, engine):
+        """An empty hop chain fails when the spec is built, naming the
+        path, so no engine ever evaluates it: the contention engine
+        used to return an FCT of 0 for it, and the others raised only
+        when evaluating."""
+        evaluate = get_engine(engine).evaluate
+        with pytest.raises(ValueError, match="path 1 needs at least one hop"):
+            evaluate(
+                SimulationSpec(
+                    paths=(tuple(uniform_path(3)), ()),
+                    flows=(
+                        FlowSpec(0, 10_000, 48),
+                        FlowSpec(1, 10_000, 48, path_id=1),
+                    ),
+                )
             )
 
     def test_dangling_path_id_rejected(self):

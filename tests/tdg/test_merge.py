@@ -8,7 +8,7 @@ from repro.dataplane.mat import Mat
 from repro.dataplane.program import Program
 from repro.tdg.builder import build_tdg
 from repro.tdg.dependencies import DependencyType
-from repro.tdg.graph import Tdg
+from repro.tdg.graph import CycleError, Tdg
 from repro.tdg.merge import merge_pair, merge_tdgs
 
 
@@ -89,6 +89,29 @@ class TestMergePair:
         merged = merge_pair(g1, g2)
         # Either deduplicated safely or kept both; graph must be a DAG.
         merged.topological_order()
+
+    def test_union_with_a_shared_node_keeps_the_checks(self):
+        """Graphs that share a node still go through ``add_edge``: an
+        edge both hold is kept once, and a t2 edge that closes a cycle
+        through the shared node raises."""
+        x = Mat("x", actions=[no_op()], resource_demand=0.1)
+        a = Mat("a", actions=[no_op("na")], capacity=2)
+        b = Mat("b", actions=[no_op("nb")], capacity=3)
+        g1 = Tdg("g1")
+        for mat in (x, a, b):
+            g1.add_node(mat)
+        g1.add_edge("x", "a", DependencyType.SUCCESSOR, 4)
+        g1.add_edge("a", "b", DependencyType.SUCCESSOR)
+        g2 = Tdg("g2")
+        g2.add_node(x)
+        g2.add_node(a)
+        g2.add_edge("x", "a", DependencyType.SUCCESSOR, 4)
+        merged = merge_pair(g1, g2)
+        assert [e.key for e in merged.edges] == [("x", "a"), ("a", "b")]
+        g2.add_node(b)
+        g2.add_edge("b", "x", DependencyType.SUCCESSOR)
+        with pytest.raises(CycleError):
+            merge_pair(g1, g2)
 
 
 class TestMergeTdgs:
