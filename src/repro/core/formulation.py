@@ -31,6 +31,7 @@ which is always optimal for the latency term.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -206,7 +207,8 @@ class MilpFormulation:
         explicit_paths: Model ``y(u, v, p)`` path choices over the
             enumerator's k shortest paths instead of decoding shortest
             paths afterwards.
-        time_limit_s: Solver wall-clock budget.
+        time_limit_s: Wall-clock budget of one :meth:`deploy`, shared
+            by its solves.
         max_mats_per_switch: Optional per-switch MAT-count cap (used by
             the MTP baseline to spread control-plane load).
     """
@@ -532,7 +534,9 @@ class MilpFormulation:
 
         A shrink-and-resolve loop handles the (rare) case where the
         switch-level capacity admitted no per-stage layout: capacities
-        in the model are scaled down and the model re-solved.
+        in the model are scaled down and the model re-solved.  Its up
+        to three solves share one ``time_limit_s`` budget, counted from
+        entry: each solve is given what is left of it.
 
         Args:
             warm_start_plan: An existing feasible plan (e.g. from the
@@ -542,6 +546,7 @@ class MilpFormulation:
                 set, when explicit path variables are on, or when the
                 model rejects its encoding (a shrunk capacity).
         """
+        deadline = time.perf_counter() + self.time_limit_s
         paths = paths or PathEnumerator(network)
         shrink = 1.0
         last_error: Optional[Exception] = None
@@ -554,7 +559,16 @@ class MilpFormulation:
                 if warm_start_plan is not None
                 else None
             )
-            solution = self._solver().solve(handles.model, initial=initial)
+            remaining_s = deadline - time.perf_counter()
+            if remaining_s <= 0:
+                raise DeploymentError(
+                    f"MILP time limit of {self.time_limit_s} s spent "
+                    "before a stage-feasible deployment was found"
+                    + (f": {last_error}" if last_error else "")
+                )
+            solver = self._solver()
+            solver.time_limit_s = remaining_s
+            solution = solver.solve(handles.model, initial=initial)
             self.last_solution = solution
             if not solution.status.has_solution:
                 raise DeploymentError(
@@ -570,7 +584,11 @@ class MilpFormulation:
         )
 
     def _solver(self):
-        """The solver :meth:`deploy` runs: the branch & bound."""
+        """The solver :meth:`deploy` runs: the branch & bound.
+
+        :meth:`deploy` overwrites its ``time_limit_s`` with what is left
+        of the budget before each solve.
+        """
         return BranchBoundSolver(time_limit_s=self.time_limit_s)
 
     def encode_plan(

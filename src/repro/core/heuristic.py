@@ -231,6 +231,39 @@ def split_tdg(
     return segments
 
 
+#: Stands in, in a graph's split memo, for a split whose only segment is
+#: the graph itself: the graph must not hold itself in its own memo.
+_WHOLE = object()
+
+
+def _split_memo(_tdg: Tdg) -> Dict[Tuple[int, float, float], object]:
+    """A graph's memoized splits, keyed by the reference switch's
+    ``(num_stages, stage_capacity)`` and the fill floor."""
+    return {}
+
+
+def _memoized_split(
+    tdg: Tdg, reference: Switch, fill_floor: float
+) -> List[Tdg]:
+    """:func:`split_tdg`, memoized on ``tdg``.
+
+    The split reads nothing of the reference switch but its stage count
+    and capacity, except in the message of a failed split, which names
+    the switch and is therefore not stored.  The segments are shared
+    between the deploys that hit the entry; nothing mutates them.
+    """
+    memo = tdg.memoized(_split_memo)
+    key = (reference.num_stages, reference.stage_capacity, fill_floor)
+    segments = memo.get(key)
+    if segments is None:
+        segments = split_tdg(tdg, reference, fill_floor)
+        whole = len(segments) == 1 and segments[0] is tdg
+        memo[key] = _WHOLE if whole else segments
+    elif segments is _WHOLE:
+        segments = [tdg]
+    return list(segments)
+
+
 def select_switches(
     start: str,
     network: Network,
@@ -270,8 +303,11 @@ class GreedyHeuristic:
             to the weakest programmable switch in the network so every
             candidate can host every segment.
         splitter: The TDG splitting strategy, ``(tdg, reference) ->
-            [segments]``; defaults to the min-cut :func:`split_tdg`.
-            Exposed so ablations can swap in alternative criteria.
+            [segments]``; defaults to the min-cut :func:`split_tdg`,
+            whose segments are memoized on the TDG per reference shape
+            and fill floor, so replanning an unchanged graph does not
+            split it again.  Exposed so ablations can swap in
+            alternative criteria, which are never memoized.
         replicate_hubs: Clone cheap shared hub MATs per consumer
             program before splitting (the Eq. 6 replication extension;
             see :mod:`repro.core.replication`).  ``False`` (default)
@@ -367,24 +403,21 @@ class GreedyHeuristic:
             from repro.core.replication import replicate_cheap_hubs
 
             tdg = replicate_cheap_hubs(tdg)
-        segments = self.splitter(tdg, reference)
-        if (
-            self.epsilon2 is not None
-            and len(segments) > self.epsilon2
-            and self.splitter is split_tdg
-        ):
-            # The default fill band produced more segments than the
-            # occupied-switch budget allows; re-split with the floor
-            # raised to the average fill the budget implies.
-            needed = tdg.total_resource_demand() / (
-                self.epsilon2 * reference.total_capacity
-            )
-            if needed <= 1.0:
-                segments = split_tdg(
-                    tdg,
-                    reference,
-                    fill_floor=min(0.98, max(needed, FILL_FLOOR)),
+        if self.splitter is not split_tdg:
+            segments = self.splitter(tdg, reference)
+        else:
+            segments = _memoized_split(tdg, reference, FILL_FLOOR)
+            if self.epsilon2 is not None and len(segments) > self.epsilon2:
+                # The default fill band produced more segments than the
+                # occupied-switch budget allows; re-split with the floor
+                # raised to the average fill the budget implies.
+                needed = tdg.total_resource_demand() / (
+                    self.epsilon2 * reference.total_capacity
                 )
+                if needed <= 1.0:
+                    segments = _memoized_split(
+                        tdg, reference, min(0.98, max(needed, FILL_FLOOR))
+                    )
 
         last_error: Optional[Exception] = None
         for anchor in network.programmable_names():

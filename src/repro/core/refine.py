@@ -46,35 +46,19 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages
-from repro.network.paths import Path, PathEnumerator
+from repro.network.paths import PathEnumerator
 from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
 )
-from repro.plan.builder import PlanBuilder
-from repro.tdg.graph import Tdg
+from repro.plan.builder import PlanBuilder, first_meet_routing
 
 
 #: Stage layouts memoized per ``(switch, frozenset(MAT names))``; None
 #: records that the MATs do not fit.  ``Tdg.subgraph`` ignores the
 #: order of the names, so the MAT set alone determines the layout.
 Layouts = Dict[Tuple[str, FrozenSet[str]], Optional[Dict[str, MatPlacement]]]
-
-
-def _neighbours(
-    tdg: Tdg,
-) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-    """Each MAT's successors and predecessors, sorted by name: the order
-    in which :class:`~repro.plan.builder.PlanBuilder` visits a placed
-    MAT's out- and in-edges.  Memoized per graph."""
-    return {
-        name: (
-            tuple(sorted(tdg.successors(name))),
-            tuple(sorted(tdg.predecessors(name))),
-        )
-        for name in tdg.node_names
-    }
 
 
 def _rebuild(
@@ -91,9 +75,9 @@ def _rebuild(
     infeasible one rejects the mapping at once.  A feasible mapping is
     assembled from the memoized placement records, in the order a
     ``PlanBuilder`` placing them switch by switch would hold them, and
-    each communicating pair is routed in the order that builder first
-    meets it (``Backend.compile`` emits forwarding entries in routing
-    order).  ``validate()`` and the dataflow verifier then run in full.
+    routed by :func:`~repro.plan.builder.first_meet_routing` in the
+    order that builder first meets each communicating pair.
+    ``validate()`` and the dataflow verifier then run in full.
     """
     layouts = {} if layouts is None else layouts
     by_switch: Dict[str, List[str]] = {}
@@ -115,23 +99,11 @@ def _rebuild(
             return None
         placements.update(layout)
 
-    neighbours = plan.tdg.memoized(_neighbours)
-    placed: Dict[str, str] = {}
-    routing: Dict[Tuple[str, str], Path] = {}
-    for mat_name, placement in placements.items():
-        here = placed[mat_name] = placement.switch
-        successors, predecessors = neighbours[mat_name]
-        pairs = [(here, placed[d]) for d in successors if d in placed]
-        pairs += [(placed[p], here) for p in predecessors if p in placed]
-        for pair in pairs:
-            if pair[0] == pair[1] or pair in routing:
-                continue
-            path = paths.shortest(*pair)
-            if path is None:
-                return None
-            routing[pair] = path
-    candidate = DeploymentPlan(plan.tdg, plan.network, placements, routing)
     try:
+        routing = first_meet_routing(plan.tdg, placements, paths)
+        candidate = DeploymentPlan(
+            plan.tdg, plan.network, placements, routing
+        )
         candidate.validate()
     except DeploymentError:
         return None

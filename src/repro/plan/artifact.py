@@ -267,20 +267,20 @@ class DeploymentPlan:
         ]
 
     def stage_utilization(self, switch: str) -> Dict[int, float]:
-        """Per-stage resource load on a switch (stage index -> demand)."""
-        cached = self._stage_util_cache.get(switch)
-        if cached is None:
-            load: Dict[int, float] = {}
+        """Per-stage resource load on a switch (stage index -> demand).
+
+        The first call sums every switch's loads in one scan over the
+        placements, placement by placement, and caches them all.
+        """
+        loads = self._stage_util_cache
+        if not loads:
             for placement in self._placements.values():
-                if placement.switch != switch:
-                    continue
+                load = loads.setdefault(placement.switch, {})
                 mat = self._tdg.node(placement.mat_name)
                 share = mat.resource_demand / len(placement.stages)
                 for stage in placement.stages:
                     load[stage] = load.get(stage, 0.0) + share
-            self._stage_util_cache[switch] = load
-            cached = load
-        return dict(cached)
+        return dict(loads.get(switch, {}))
 
     # ------------------------------------------------------------------
     # Serialization (canonical, versioned JSON — repro.plan.serialize)

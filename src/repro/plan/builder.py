@@ -38,6 +38,60 @@ from repro.tdg.graph import Tdg
 _LOAD_EPS = 1e-9
 
 
+def _neighbours(
+    tdg: Tdg,
+) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """Each MAT's successors and predecessors, sorted by name: the order
+    in which :class:`PlanBuilder` visits a placed MAT's out- and
+    in-edges.  Memoized per graph."""
+    return {
+        name: (
+            tuple(sorted(tdg.successors(name))),
+            tuple(sorted(tdg.predecessors(name))),
+        )
+        for name in tdg.node_names
+    }
+
+
+def first_meet_routing(
+    tdg: Tdg,
+    placements: Mapping[str, MatPlacement],
+    paths: PathEnumerator,
+) -> Dict[Tuple[str, str], Path]:
+    """Shortest-path routing for every communicating pair of
+    ``placements``, without a :class:`PlanBuilder`.
+
+    A builder given ``placements`` one by one meets each pair when the
+    second of its first two MATs is placed, and
+    :meth:`PlanBuilder.route_shortest` routes the pairs in that order.
+    This routes them in the same order, with the same ``paths`` queries,
+    so the routing, its order (``Backend.compile`` emits forwarding
+    entries in routing order) and the first pair that fails all equal
+    the builder's.
+
+    Raises:
+        DeploymentError: When a communicating pair has no path.
+    """
+    neighbours = tdg.memoized(_neighbours)
+    placed: Dict[str, str] = {}
+    routing: Dict[Tuple[str, str], Path] = {}
+    for mat_name, placement in placements.items():
+        here = placed[mat_name] = placement.switch
+        successors, predecessors = neighbours[mat_name]
+        pairs = [(here, placed[d]) for d in successors if d in placed]
+        pairs += [(placed[p], here) for p in predecessors if p in placed]
+        for pair in pairs:
+            if pair[0] == pair[1] or pair in routing:
+                continue
+            path = paths.shortest(*pair)
+            if path is None:
+                raise DeploymentError(
+                    f"no path between communicating switches {pair}"
+                )
+            routing[pair] = path
+    return routing
+
+
 @dataclass
 class UndoToken:
     """Inverse of one builder mutation (LIFO list of primitive ops)."""

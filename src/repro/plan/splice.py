@@ -9,7 +9,7 @@ contract:
 
 * :func:`rebase_plan` — the empty-blast-radius case: every placement
   survives verbatim; only the routing is recomputed on the current
-  substrate.
+  substrate, without a :class:`~repro.plan.builder.PlanBuilder`.
 * :func:`splice_plan` — apply a delta assignment (``MAT -> switch`` for
   the free MATs) on top of the surviving placements through a
   :class:`~repro.plan.builder.PlanBuilder`, fitting stages with the
@@ -36,7 +36,7 @@ from repro.plan.artifact import (
     DeploymentPlan,
     MatPlacement,
 )
-from repro.plan.builder import PlanBuilder
+from repro.plan.builder import PlanBuilder, first_meet_routing
 from repro.tdg.graph import Tdg
 
 
@@ -162,7 +162,11 @@ def rebase_plan(
     old plan is already placement-feasible on the new substrate and
     only the routing needs re-deriving (links may have changed).
     ``A_max`` is invariant under rebasing — pair bytes depend only on
-    placements, never on links.
+    placements, never on links.  The placements are kept as they are,
+    in their order, and routed by
+    :func:`~repro.plan.builder.first_meet_routing`, so the plan equals
+    the one a :class:`~repro.plan.builder.PlanBuilder` seeded with them
+    would build, without paying for the builder's incremental metrics.
 
     Raises:
         DeploymentError: When validation fails (a placement actually
@@ -171,12 +175,18 @@ def rebase_plan(
     """
     paths = paths or PathEnumerator(network)
     try:
-        builder = PlanBuilder(old_plan.tdg, network, old_plan.placements)
-        builder.route_shortest(paths)
-        return builder.build(validate=validate)
+        routing = first_meet_routing(
+            old_plan.tdg, old_plan.placements, paths
+        )
+        plan = DeploymentPlan(
+            old_plan.tdg, network, old_plan.placements, routing
+        )
+        if validate:
+            plan.validate()
+        return plan
     except KeyError as exc:
-        # The builder and validator index hosts by name; a vanished one
-        # surfaces as a KeyError, which is this function's
+        # Path queries and the validator index hosts by name; a vanished
+        # one surfaces as a KeyError, which is this function's
         # infeasibility.
         raise DeploymentError(f"rebase: {exc.args[0]}") from exc
 

@@ -16,8 +16,11 @@ Replanning runs a three-rung escalation ladder, cheapest first:
    escalates — deterministically, never on wall-clock — when the
    workload changed, the blast radius exceeds
    ``policy.max_blast_fraction``, or the repair machinery raises.
-2. **full** — the cold path: ``deploy_fn`` re-deploys the live
-   workload from scratch under the retry policy.
+2. **full** — the cold path: the live workload is placed from scratch
+   under the retry policy.  The default deploy runs Algorithm 1 only
+   when the workload changed since its last analysis, so a
+   network-only batch re-runs placement alone; an injected
+   ``deploy_fn`` re-deploys from the programs every time.
 3. **patch** — the degraded mode: when the full replan blows
    ``replan_budget_s``, its result is discarded in favor of the
    cheapest feasible local patch
@@ -72,6 +75,7 @@ from repro.runtime.patch import cheapest_patch
 from repro.runtime.scenario import NetworkEvent, Scenario, batch_events
 from repro.runtime.state import WorldState
 from repro.runtime.store import PlanStore
+from repro.tdg.graph import Tdg
 from repro.telemetry import emit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -256,9 +260,12 @@ class Reconciler:
             ``ReconcilerPolicy()`` (no budget, two retries, no
             debounce).
         deploy_fn: Deployment function ``(programs, network) -> plan``;
-            defaults to the Hermes heuristic.  Tests inject flaky or
-            slow functions here to exercise the retry and timeout
-            policies deterministically.
+            defaults to the Hermes heuristic, which analyses the live
+            workload once per change of it and places the cached
+            merged TDG on every full replan in between.  Tests inject
+            flaky or slow functions here to exercise the retry and
+            timeout policies deterministically; an injected function
+            runs on every call.
         prepare_fn: Optional hook called with the freshly bound
             :class:`Controller` after the initial deployment, before
             any event is replayed — the place to install runtime rules
@@ -283,14 +290,15 @@ class Reconciler:
         self.network = network
         self.policy = policy or ReconcilerPolicy()
         self.prepare_fn = prepare_fn
-        if deploy_fn is None:
-            hermes = Hermes(
-                epsilon1=epsilon1,
-                epsilon2=epsilon2,
-                replicate_hubs=replicate_hubs,
-            )
-            deploy_fn = lambda progs, net: hermes.deploy(progs, net).plan  # noqa: E731
         self.deploy_fn = deploy_fn
+        self._hermes = Hermes(
+            epsilon1=epsilon1,
+            epsilon2=epsilon2,
+            replicate_hubs=replicate_hubs,
+        )
+        # The default deploy's one entry: the live programs it last
+        # analysed, held by identity, and their merged TDG.
+        self._analysed: Optional[Tuple[Tuple[Program, ...], Tdg]] = None
         self._incremental = (
             IncrementalReplanner(self.policy.max_blast_fraction)
             if self.policy.incremental
@@ -459,7 +467,33 @@ class Reconciler:
     def _call_deploy(
         self, programs: Sequence[Program], network: Network
     ) -> DeploymentPlan:
-        return self.deploy_fn(programs, network)
+        if self.deploy_fn is not None:
+            return self.deploy_fn(programs, network)
+        plan, _solve_time_s = self._hermes.deploy_tdg(
+            self._live_tdg(programs), network
+        )
+        return plan
+
+    def _live_tdg(self, programs: Sequence[Program]) -> Tdg:
+        """The merged TDG of ``programs``, analysed once per workload.
+
+        Network events leave the live workload alone, so every full
+        replan between two workload events places the same graph.
+        Programs are compared by identity, not by name: a
+        ``workload_add`` can bring back a removed name as a different
+        program, and :class:`WorldState` replaces program objects
+        rather than mutating them.
+        """
+        entry = self._analysed
+        if (
+            entry is not None
+            and len(entry[0]) == len(programs)
+            and all(a is b for a, b in zip(entry[0], programs))
+        ):
+            return entry[1]
+        tdg = self._hermes.analyze(programs)
+        self._analysed = (tuple(programs), tdg)
+        return tdg
 
     # ------------------------------------------------------------------
     def _replan(

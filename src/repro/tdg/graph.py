@@ -12,7 +12,8 @@ are enforced locally and are easy to property-test.
 
 Values derived from the whole graph can be cached on it with
 :meth:`Tdg.memoized`; every mutator (node and edge insertion and
-removal, a rename, :meth:`Tdg.set_metadata_bytes`) clears the cache.
+removal, a rename to a different name, :meth:`Tdg.set_metadata_bytes`)
+clears the cache.
 Edges are frozen and MATs never change after construction, so those
 mutators are the only way the graph's content can change.
 """
@@ -86,7 +87,8 @@ class Tdg:
 
     @name.setter
     def name(self, value: str) -> None:
-        self._memo.clear()
+        if value != self._name:
+            self._memo.clear()
         self._name = value
 
     def memoized(

@@ -156,3 +156,78 @@ class TestDeploy:
         formulation.deploy(six_tdg, line4)
         assert formulation.last_solution is not None
         assert formulation.last_solution.status.has_solution
+
+
+class TestSharedTimeBudget:
+    """``deploy``'s shrink-and-resolve attempts share one
+    ``time_limit_s`` budget: each solve is given what is left of it.
+
+    The solver is a stub on a fake clock that spends a set share of
+    whatever limit it is given, and every decode fails, so ``deploy``
+    runs every attempt the budget allows.
+    """
+
+    LIMIT = 10.0
+
+    @staticmethod
+    def formulation(monkeypatch, share, base=MilpFormulation):
+        from types import SimpleNamespace
+
+        import repro.core.formulation as formulation
+        from repro.core.stages import StageAssignmentError
+        from repro.milp.solution import Solution, SolveStatus
+
+        clock = [100.0]
+        monkeypatch.setattr(
+            formulation, "time", SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+
+        class Stub:
+            def __init__(self, time_limit_s, limits):
+                self.time_limit_s = time_limit_s
+                self.limits = limits
+
+            def solve(self, model, initial=None):
+                self.limits.append(self.time_limit_s)
+                clock[0] += share * self.time_limit_s
+                return Solution(SolveStatus.FEASIBLE, objective=0.0, gap=1.0)
+
+        class Budgeted(base):
+            limits = []
+
+            def _solver(self):
+                return Stub(self.time_limit_s, self.limits)
+
+            def _decode(self, *args):
+                raise StageAssignmentError("no stage layout")
+
+        return Budgeted(time_limit_s=TestSharedTimeBudget.LIMIT)
+
+    def test_resolves_get_what_is_left(self, monkeypatch, six_tdg, line4):
+        milp = self.formulation(monkeypatch, share=0.99)
+        with pytest.raises(DeploymentError, match="no stage-feasible"):
+            milp.deploy(six_tdg, line4)
+        limits = milp.limits
+        assert len(limits) == 3
+        assert all(a > b for a, b in zip(limits, limits[1:]))
+        assert sum(limits) <= self.LIMIT + 0.2
+        assert limits[0] == self.LIMIT
+
+    def test_spent_budget_stops_the_resolves(
+        self, monkeypatch, six_tdg, line4
+    ):
+        milp = self.formulation(monkeypatch, share=1.0)
+        with pytest.raises(DeploymentError, match="time limit of 10.0 s"):
+            milp.deploy(six_tdg, line4)
+        assert milp.limits == [self.LIMIT]
+
+    def test_seeded_deploy_falls_back_to_the_greedy_plan(
+        self, monkeypatch, six_tdg, line4
+    ):
+        milp = self.formulation(monkeypatch, share=1.0, base=HermesMilp)
+        plan, timed_out = milp.deploy_seeded(
+            six_tdg, line4, PathEnumerator(line4)
+        )
+        greedy = GreedyHeuristic().deploy(six_tdg, line4)
+        assert timed_out
+        assert plan.fingerprint() == greedy.fingerprint()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.heuristic as heuristic
 from repro.core.analyzer import ProgramAnalyzer
 from repro.core.heuristic import (
     GreedyHeuristic,
@@ -13,9 +14,11 @@ from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import PathEnumerator
 from repro.network.switch import Switch
+from repro.plan import plan_fingerprint
 from repro.plan.artifact import DeploymentError
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
+from repro.workloads.switchp4 import real_programs
 from tests.conftest import make_sketch_program
 
 
@@ -177,3 +180,107 @@ class TestGreedyHeuristic:
         net = random_wan(30, 40, seed=11)
         plan = GreedyHeuristic().deploy(tdg, net)
         plan.validate()
+
+
+class TestSplitMemo:
+    """The default split is memoized on the TDG, keyed by the reference
+    switch's shape and the fill floor; a deploy that hits the memo must
+    give the plan a freshly analysed copy of the workload gives."""
+
+    @pytest.fixture
+    def split_calls(self, monkeypatch):
+        """The graphs ``split_tdg`` is called on, in call order."""
+        calls = []
+        original = heuristic.split_tdg
+
+        def recording(tdg, reference, fill_floor=None):
+            calls.append(tdg)
+            return original(tdg, reference, fill_floor)
+
+        monkeypatch.setattr(heuristic, "split_tdg", recording)
+        return calls
+
+    @staticmethod
+    def deploy_both(programs, tdg, network, **kwargs):
+        """Deploy ``tdg`` and a fresh analysis of ``programs``; both
+        plans must be the same."""
+        memoized = GreedyHeuristic(**kwargs).deploy(tdg, network)
+        fresh = GreedyHeuristic(**kwargs).deploy(
+            ProgramAnalyzer().analyze(programs), network
+        )
+        assert list(memoized.placements.items()) == list(
+            fresh.placements.items()
+        )
+        assert list(memoized.routing.items()) == list(fresh.routing.items())
+        assert plan_fingerprint(memoized) == plan_fingerprint(fresh)
+        return memoized
+
+    @staticmethod
+    def wan(num_stages):
+        return random_wan(16, 24, seed=2, num_stages=num_stages)
+
+    def test_same_and_different_reference_shapes(self, split_calls):
+        programs = real_programs(10)
+        tdg = ProgramAnalyzer().analyze(programs)
+        networks = {stages: self.wan(stages) for stages in (4, 6)}
+        for stages in (4, 4, 6, 4, 6):
+            self.deploy_both(programs, tdg, networks[stages])
+        # One split per reference shape; the repeats hit the memo.
+        assert sum(call is tdg for call in split_calls) == 2
+        memo = tdg.memoized(heuristic._split_memo)
+        assert sorted(key[0] for key in memo) == [4, 6]
+
+    def test_epsilon2_resplit_goes_through_the_memo(self, split_calls):
+        programs = real_programs(10)
+        tdg = ProgramAnalyzer().analyze(programs)
+        network = self.wan(6)
+        for _ in range(2):
+            self.deploy_both(programs, tdg, network, epsilon2=4)
+        # The default floor and the raised one, each split once.
+        assert sum(call is tdg for call in split_calls) == 2
+        floors = sorted(key[2] for key in tdg.memoized(heuristic._split_memo))
+        assert floors[0] == heuristic.FILL_FLOOR < floors[1]
+
+    def test_patched_fill_floor_misses_the_memo(
+        self, split_calls, monkeypatch
+    ):
+        programs = real_programs(10)
+        tdg = ProgramAnalyzer().analyze(programs)
+        network = self.wan(4)
+        default = self.deploy_both(programs, tdg, network)
+        reference = min(
+            network.programmable_switches(), key=lambda s: s.total_capacity
+        )
+        assert len(split_tdg(tdg, reference, 0.7)) != len(
+            split_tdg(tdg, reference)
+        )
+        monkeypatch.setattr(heuristic, "FILL_FLOOR", 0.7)
+        split_calls.clear()
+        patched = self.deploy_both(programs, tdg, network)
+        assert sum(call is tdg for call in split_calls) == 1
+        assert plan_fingerprint(patched) != plan_fingerprint(default)
+
+    def test_one_segment_split_does_not_hold_the_graph(self, split_calls):
+        programs = real_programs(2)
+        tdg = ProgramAnalyzer().analyze(programs)
+        network = self.wan(12)
+        for _ in range(2):
+            plan = self.deploy_both(programs, tdg, network)
+        assert plan.num_occupied_switches() == 1
+        assert sum(call is tdg for call in split_calls) == 1
+        (entry,) = tdg.memoized(heuristic._split_memo).values()
+        assert not isinstance(entry, list)
+
+    def test_custom_splitter_bypasses_the_memo(self):
+        programs = real_programs(10)
+        tdg = ProgramAnalyzer().analyze(programs)
+        calls = []
+
+        def splitter(graph, reference):
+            calls.append(graph)
+            return split_tdg(graph, reference)
+
+        for _ in range(2):
+            GreedyHeuristic(splitter=splitter).deploy(tdg, self.wan(4))
+        assert len(calls) == 2
+        assert not tdg.memoized(heuristic._split_memo)

@@ -168,3 +168,34 @@ class TestDerivation:
         assert tdg.cut_bytes(["a"], ["b", "c"]) == 7
         assert tdg.cut_bytes(["a", "b"], ["c"]) == 7
         assert tdg.cut_bytes(["c"], ["a"]) == 0
+
+
+def _edge_keys(tdg):
+    return [edge.key for edge in tdg.edges]
+
+
+class TestMemo:
+    def test_assigning_the_same_name_keeps_the_memo(self):
+        tdg = chain("a", "b", "c")
+        keys = tdg.memoized(_edge_keys)
+        tdg.name = tdg.name
+        assert tdg.memoized(_edge_keys) is keys
+
+    def test_a_rename_clears_the_memo(self):
+        tdg = chain("a", "b", "c")
+        keys = tdg.memoized(_edge_keys)
+        tdg.name = "renamed"
+        again = tdg.memoized(_edge_keys)
+        assert again == keys and again is not keys
+
+    def test_one_switch_heuristic_deploy_keeps_the_memo(self):
+        """The splitter names the last segment after the graph; when the
+        graph fits one switch that segment is the graph itself."""
+        from repro.core.heuristic import GreedyHeuristic
+        from repro.network.generators import linear_topology
+
+        tdg = chain("a", "b", "c")
+        keys = tdg.memoized(_edge_keys)
+        plan = GreedyHeuristic().deploy(tdg, linear_topology(3))
+        assert plan.num_occupied_switches() == 1
+        assert tdg.memoized(_edge_keys) is keys
