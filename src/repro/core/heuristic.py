@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages, segment_fits
 from repro.network.paths import PathEnumerator
-from repro.plan.artifact import DeploymentError, DeploymentPlan
-from repro.plan.builder import PlanBuilder
+from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
+from repro.plan.builder import first_meet_routing
 from repro.network.switch import Switch
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -402,7 +402,9 @@ class GreedyHeuristic:
         if self.replicate_hubs:
             from repro.core.replication import replicate_cheap_hubs
 
-            tdg = replicate_cheap_hubs(tdg)
+            # Memoized on the source graph, so the replicated graph, and
+            # with it its own split memo, outlives one deploy.
+            tdg = tdg.memoized(replicate_cheap_hubs)
         if self.splitter is not split_tdg:
             segments = self.splitter(tdg, reference)
         else:
@@ -508,15 +510,28 @@ class GreedyHeuristic:
         segments: Sequence[Tdg],
         candidates: Sequence[str],
     ) -> DeploymentPlan:
-        builder = PlanBuilder(tdg, network)
+        """Lay each segment out on its candidate switch, route, validate.
+
+        The layouts are concatenated in segment order, so the plan
+        holds its placements, and routes its pairs, in the order a
+        :class:`~repro.plan.builder.PlanBuilder` placing them one by
+        one would.
+        """
+        placements: Dict[str, MatPlacement] = {}
         for segment, host in zip(segments, candidates):
             layout = assign_stages(segment, network.switch(host))
-            for placement in layout.values():
-                builder.place(
-                    placement.mat_name, placement.switch, placement.stages
+            if not placements.keys().isdisjoint(layout):
+                # Only a custom splitter can hand over overlapping
+                # segments; every MAT is placed exactly once.
+                twice = next(name for name in layout if name in placements)
+                raise DeploymentError(
+                    f"MAT {twice!r} is already placed; use move()"
                 )
+            placements.update(layout)
         # Consecutive chain hops (Algorithm 2 lines 26-29) plus any
         # skip-level pairs created by edges spanning non-adjacent
         # segments: every communicating pair gets its shortest path.
-        builder.route_shortest(paths)
-        return builder.build()
+        routing = first_meet_routing(tdg, placements, paths)
+        plan = DeploymentPlan(tdg, network, placements, routing)
+        plan.validate()
+        return plan

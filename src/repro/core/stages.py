@@ -41,18 +41,26 @@ def earliest_window(
     smallest end stage (keeps dependency chains short), then the fewest
     stages.  ``free`` is 0-indexed remaining capacity per stage.
 
+    For each end stage the window grows one stage to the left at a
+    time, keeping the minimum free capacity it has read so far, so each
+    candidate window costs one stage read and a search is O(S^2) in the
+    stage count S.  Testing the minimum is exact: ``x + tol`` rounds
+    monotonically in ``x``, so ``min(free) + tol >= share`` holds
+    exactly when ``free[s] + tol >= share`` holds for every stage of
+    the window.
+
     Shared by the intra-switch layout below and the virtual-pipeline
     chain scheduler in :mod:`repro.baselines.base` — both must pick
     windows by the same rule so a segment that fits on one switch fits
     identically when that switch appears in a chain.
     """
     for end in range(earliest, num_stages + 1):
-        for size in range(1, end - earliest + 2):
-            start = end - size + 1
-            if start < earliest:
-                continue
-            share = demand / size
-            if all(free[s - 1] + tol >= share for s in range(start, end + 1)):
+        lowest = free[end - 1]
+        for start in range(end, earliest - 1, -1):
+            stage_free = free[start - 1]
+            if stage_free < lowest:
+                lowest = stage_free
+            if lowest + tol >= demand / (end - start + 1):
                 return start, end
     return None
 

@@ -66,17 +66,18 @@ class MatPlacement:
         return self.stages[-1]
 
 
-#: Attributes the lazy metric caches may write after construction.
-_CACHE_SLOTS = frozenset(
-    {
-        "_pair_bytes_cache",
-        "_amax_cache",
-        "_total_bytes_cache",
-        "_occupied_cache",
-        "_e2e_cache",
-        "_stage_util_cache",
-    }
+#: The lazy metric caches that depend only on the TDG and the
+#: placements, never on the network or the routing.
+_PLACEMENT_CACHES = (
+    "_pair_bytes_cache",
+    "_amax_cache",
+    "_total_bytes_cache",
+    "_occupied_cache",
+    "_stage_util_cache",
 )
+
+#: Attributes the lazy metric caches may write after construction.
+_CACHE_SLOTS = frozenset(_PLACEMENT_CACHES + ("_e2e_cache",))
 
 
 class DeploymentPlan:
@@ -158,17 +159,29 @@ class DeploymentPlan:
         return MappingProxyType(self._routing)
 
     def with_routing(
-        self, routing: Mapping[Tuple[str, str], Path]
+        self,
+        routing: Mapping[Tuple[str, str], Path],
+        network: Optional[Network] = None,
     ) -> "DeploymentPlan":
-        """A sibling plan with the same placements and new routing."""
+        """A sibling plan with the same TDG and placements, new routing,
+        and ``network`` in place of this plan's when given (a rebase).
+
+        The sibling shares the metrics that depend only on the TDG and
+        the placements: pair bytes, ``A_max``, total bytes, occupied
+        switches and per-switch stage loads.  Routing-derived values
+        (``t_e2e``) are computed afresh, and :meth:`validate` still
+        checks everything against the sibling's own network.
+        """
         plan = DeploymentPlan(
-            self._tdg, self._network, self._placements, routing
+            self._tdg,
+            self._network if network is None else network,
+            self._placements,
+            routing,
         )
-        # Placement-derived caches are identical by construction.
-        object.__setattr__(plan, "_pair_bytes_cache", self._pair_bytes_cache)
-        object.__setattr__(plan, "_amax_cache", self._amax_cache)
-        object.__setattr__(plan, "_total_bytes_cache", self._total_bytes_cache)
-        object.__setattr__(plan, "_occupied_cache", self._occupied_cache)
+        # Placement-derived caches are identical by construction; the
+        # stage loads are one dict that either plan may fill first.
+        for slot in _PLACEMENT_CACHES:
+            object.__setattr__(plan, slot, getattr(self, slot))
         return plan
 
     # ------------------------------------------------------------------

@@ -167,6 +167,10 @@ def rebase_plan(
     :func:`~repro.plan.builder.first_meet_routing`, so the plan equals
     the one a :class:`~repro.plan.builder.PlanBuilder` seeded with them
     would build, without paying for the builder's incremental metrics.
+    The rebased plan is :meth:`DeploymentPlan.with_routing` on the new
+    network, so it inherits the old plan's placement metrics (pair
+    bytes, ``A_max``, occupied switches, stage loads) and validation
+    does not recompute them.
 
     Raises:
         DeploymentError: When validation fails (a placement actually
@@ -178,9 +182,7 @@ def rebase_plan(
         routing = first_meet_routing(
             old_plan.tdg, old_plan.placements, paths
         )
-        plan = DeploymentPlan(
-            old_plan.tdg, network, old_plan.placements, routing
-        )
+        plan = old_plan.with_routing(routing, network)
         if validate:
             plan.validate()
         return plan

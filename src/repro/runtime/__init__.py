@@ -31,7 +31,6 @@ from repro.runtime.incremental import (
     IncrementalEscalation,
     IncrementalReplanner,
     find_orphans,
-    same_workload,
 )
 from repro.runtime.patch import cheapest_patch
 from repro.runtime.reconciler import (
@@ -77,7 +76,6 @@ __all__ = [
     "cheapest_patch",
     "find_orphans",
     "generate_scenario",
-    "same_workload",
     "read_scenario",
     "write_scenario",
     "seed_rules",

@@ -21,11 +21,18 @@ placement's last stage) and then picks the cheapest sound repair:
   ``A_max`` prediction as a probe cap.
 
 Anything else raises :class:`IncrementalEscalation` and the reconciler
-falls through to the cold rungs: a changed workload (the old plan's TDG
-is no longer the live workload, so neither rebase nor splice is sound),
-a blast radius above ``max_blast_fraction`` (the delta abstraction
-stops being cheaper or tighter than a cold solve), or any
-``DeploymentError`` out of the rebase / delta / splice machinery.
+falls through to the cold rungs: a blast radius above
+``max_blast_fraction`` (the delta abstraction stops being cheaper or
+tighter than a cold solve), or any ``DeploymentError`` out of the
+rebase / delta / splice machinery.
+
+Both repairs keep the old plan's TDG, so they are sound only while it
+is still the live workload.  The caller establishes that before it
+asks: the :class:`~repro.runtime.reconciler.Reconciler` compares the
+live programs, by identity, with those its active plan was deployed
+for (and escalates with reason ``"workload_changed"`` itself), and a
+daemon session reaches the replanner only when the solve-relevant
+params, workload spec and seed included, are unchanged.
 
 The replanner is stateful on purpose: one instance serves a whole
 scenario, so consecutive delta solves share the
@@ -35,10 +42,9 @@ scenario, so consecutive delta solves share the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.delta import DeltaFormulation
-from repro.dataplane.program import Program
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError, DeploymentPlan
@@ -55,25 +61,14 @@ class IncrementalEscalation(DeploymentError):
 
     Attributes:
         reason: Machine-readable escalation cause — one of
-            ``"workload_changed"``, ``"blast_fraction"``,
-            ``"rebase_failed"``, ``"delta_failed"``.
+            ``"blast_fraction"``, ``"rebase_failed"``,
+            ``"delta_failed"``, or ``"workload_changed"`` (raised by
+            the reconciler, which judges the workload).
     """
 
     def __init__(self, reason: str, message: str) -> None:
         super().__init__(message)
         self.reason = reason
-
-
-def same_workload(
-    old_plan: DeploymentPlan, programs: Sequence[Program]
-) -> bool:
-    """Whether ``programs`` still matches the plan's deployed MAT set.
-
-    MAT names in the merged TDG are ``<program>.<mat>``-qualified, so
-    comparing program-name prefixes is sufficient and cheap.
-    """
-    deployed = {name.split(".", 1)[0] for name in old_plan.placements}
-    return deployed == {p.name for p in programs}
 
 
 def find_orphans(
@@ -119,26 +114,21 @@ class IncrementalReplanner:
 
     def replan(
         self,
-        programs: Sequence[Program],
         network: Network,
         old_plan: DeploymentPlan,
         paths: Optional[PathEnumerator] = None,
     ) -> Tuple[DeploymentPlan, str]:
         """Repair ``old_plan`` onto ``network``; returns (plan, mode).
 
-        ``mode`` is :data:`MODE_REBASE` or :data:`MODE_DELTA`.
+        ``old_plan``'s TDG must still be the live workload; the caller
+        establishes that (see the module docstring).  ``mode`` is
+        :data:`MODE_REBASE` or :data:`MODE_DELTA`.
 
         Raises:
             IncrementalEscalation: Whenever a cold replan is the only
                 sound continuation; see the module docstring for the
                 escalation causes.
         """
-        if not same_workload(old_plan, programs):
-            raise IncrementalEscalation(
-                "workload_changed",
-                "incremental: the live workload no longer matches the "
-                "old plan's TDG",
-            )
         paths = paths or PathEnumerator(network)
         orphans = find_orphans(old_plan, network)
         if not orphans:

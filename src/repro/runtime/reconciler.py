@@ -69,7 +69,6 @@ from repro.plan.diff import PlanDiff
 from repro.runtime.incremental import (
     IncrementalEscalation,
     IncrementalReplanner,
-    same_workload as _same_workload,
 )
 from repro.runtime.patch import cheapest_patch
 from repro.runtime.scenario import NetworkEvent, Scenario, batch_events
@@ -249,6 +248,17 @@ def transient_amax(
     )
 
 
+def _same_programs(a: Sequence[Program], b: Sequence[Program]) -> bool:
+    """Whether two workloads hold the same program objects, in order.
+
+    Programs are compared by identity, not by name: a ``workload_add``
+    can bring back a removed name as a different program, and
+    :class:`WorldState` replaces program objects rather than mutating
+    them.
+    """
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
 class Reconciler:
     """Replays a scenario against a live deployment.
 
@@ -299,6 +309,10 @@ class Reconciler:
         # The default deploy's one entry: the live programs it last
         # analysed, held by identity, and their merged TDG.
         self._analysed: Optional[Tuple[Tuple[Program, ...], Tdg]] = None
+        # The live programs the active plan was deployed for.  The
+        # initial deploy and every full-rung plan set it; the
+        # incremental and patch rungs keep the plan's TDG, and it.
+        self._deployed_for: Tuple[Program, ...] = ()
         self._incremental = (
             IncrementalReplanner(self.policy.max_blast_fraction)
             if self.policy.incremental
@@ -316,9 +330,9 @@ class Reconciler:
             seed=scenario.seed,
             events=len(scenario.events),
         )
-        plan = self._call_deploy(
-            world.current_programs(), world.current_network()
-        )
+        programs = world.current_programs()
+        plan = self._call_deploy(programs, world.current_network())
+        self._deployed_for = tuple(programs)
         store.append(plan, time_s=0.0, reason="initial")
         controller = Controller(plan)
         if self.prepare_fn is not None:
@@ -479,17 +493,9 @@ class Reconciler:
 
         Network events leave the live workload alone, so every full
         replan between two workload events places the same graph.
-        Programs are compared by identity, not by name: a
-        ``workload_add`` can bring back a removed name as a different
-        program, and :class:`WorldState` replaces program objects
-        rather than mutating them.
         """
         entry = self._analysed
-        if (
-            entry is not None
-            and len(entry[0]) == len(programs)
-            and all(a is b for a, b in zip(entry[0], programs))
-        ):
+        if entry is not None and _same_programs(entry[0], programs):
             return entry[1]
         tdg = self._hermes.analyze(programs)
         self._analysed = (tuple(programs), tdg)
@@ -510,7 +516,9 @@ class Reconciler:
         policy = self.policy
         programs = world.current_programs()
         network = world.current_network()
-        workload_unchanged = _same_workload(old_plan, programs)
+        # Both warm repairs keep the old plan's TDG, so they need the
+        # programs it was deployed for to be the live ones.
+        workload_unchanged = _same_programs(self._deployed_for, programs)
 
         # Rung 1: warm incremental repair.  Escalation is decided by
         # structure (workload, blast radius, feasibility) — never by
@@ -518,9 +526,13 @@ class Reconciler:
         if self._incremental is not None:
             start = _time.perf_counter()
             try:
-                plan, _mode = self._incremental.replan(
-                    programs, network, old_plan
-                )
+                if not workload_unchanged:
+                    raise IncrementalEscalation(
+                        "workload_changed",
+                        "incremental: the live workload no longer matches "
+                        "the old plan's TDG",
+                    )
+                plan, _mode = self._incremental.replan(network, old_plan)
             except IncrementalEscalation as exc:
                 emit(
                     "runtime.replan.escalate",
@@ -540,6 +552,7 @@ class Reconciler:
             start = _time.perf_counter()
             try:
                 plan = self._call_deploy(programs, network)
+                self._deployed_for = tuple(programs)
             except DeploymentError as exc:
                 last_error = str(exc)
                 emit(

@@ -161,6 +161,9 @@ class Session:
     def _warm_deploy(self, p: Dict[str, Any]):
         """Rebase the current plan onto freshly parsed inputs.
 
+        Runs only when the solve key equals the current plan's, and the
+        key pins the workload spec and seed, so the current plan's TDG
+        is the requested workload and the replanner is asked directly.
         Returns ``(doc, plan, source)`` or None when the replanner
         escalates (the caller then takes the cold path — same result,
         slower).
@@ -175,7 +178,7 @@ class Session:
             raise OpError(str(exc)) from exc
         try:
             plan, mode = self._replanner.replan(
-                programs, network, self._current_plan
+                network, self._current_plan
             )
         except IncrementalEscalation as exc:
             emit(

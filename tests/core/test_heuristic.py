@@ -9,6 +9,7 @@ from repro.core.heuristic import (
     select_switches,
     split_tdg,
 )
+from repro.core.replication import replicate_cheap_hubs
 from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.network.generators import linear_topology, random_wan
@@ -284,3 +285,27 @@ class TestSplitMemo:
             GreedyHeuristic(splitter=splitter).deploy(tdg, self.wan(4))
         assert len(calls) == 2
         assert not tdg.memoized(heuristic._split_memo)
+
+    @pytest.mark.parametrize("replicate_hubs", (True, "auto"))
+    def test_replicated_graph_is_split_once(
+        self, split_calls, replicate_hubs
+    ):
+        """The hub-replicated graph is memoized on the source graph, so
+        its split memo outlives a deploy."""
+        programs = real_programs(10)
+        tdg = ProgramAnalyzer().analyze(programs)
+        network = self.wan(4)
+        solver = GreedyHeuristic(replicate_hubs=replicate_hubs)
+        plans = [solver.deploy(tdg, network) for _ in range(3)]
+        replicated = [call for call in split_calls if call is not tdg]
+        assert len(replicated) == 1
+        assert replicated[0] is tdg.memoized(replicate_cheap_hubs)
+        # "auto" also deploys the graph unreplicated, split once too.
+        assert sum(call is tdg for call in split_calls) == (
+            1 if replicate_hubs == "auto" else 0
+        )
+        fresh = GreedyHeuristic(replicate_hubs=replicate_hubs).deploy(
+            ProgramAnalyzer().analyze(programs), network
+        )
+        for plan in plans:
+            assert plan_fingerprint(plan) == plan_fingerprint(fresh)

@@ -65,9 +65,7 @@ class TestIncrementalReplanner:
         )
         shrunk = drop_switch(network, victim)
         assert find_orphans(plan, shrunk) == []
-        repaired, mode = IncrementalReplanner().replan(
-            programs, shrunk, plan
-        )
+        repaired, mode = IncrementalReplanner().replan(shrunk, plan)
         assert mode == "rebase"
         assert repaired.placements == plan.placements
         assert (
@@ -81,7 +79,7 @@ class TestIncrementalReplanner:
         orphans = find_orphans(plan, shrunk)
         assert orphans
         replanner = IncrementalReplanner(max_blast_fraction=1.0)
-        repaired, mode = replanner.replan(programs, shrunk, plan)
+        repaired, mode = replanner.replan(shrunk, plan)
         assert mode == "delta"
         repaired.validate()
         assert victim not in repaired.occupied_switches()
@@ -89,11 +87,35 @@ class TestIncrementalReplanner:
             if name not in set(orphans):
                 assert repaired.placements[name] == placement
 
-    def test_workload_change_escalates(self, programs, network):
-        plan = Hermes().deploy(programs, network).plan
-        with pytest.raises(IncrementalEscalation) as exc:
-            IncrementalReplanner().replan(programs[:-1], network, plan)
-        assert exc.value.reason == "workload_changed"
+    def test_workload_change_escalates(
+        self, programs, network, monkeypatch
+    ):
+        # The replanner trusts its caller on the workload: the
+        # reconciler escalates a batch whose live programs are not
+        # those its plan was deployed for, without asking it.
+        asked = []
+        monkeypatch.setattr(
+            IncrementalReplanner,
+            "replan",
+            lambda self, *args, **kwargs: asked.append(args),
+        )
+        scenario = scenario_of(
+            NetworkEvent(1.0, EventKind.WORKLOAD_REMOVE, programs[-1].name)
+        )
+        recorder = Recorder()
+        with attached(recorder):
+            result = Reconciler(
+                programs, network, policy=WARM
+            ).run(scenario)
+        (outcome,) = result.outcomes
+        assert outcome.rung == "full"
+        (escalation,) = recorder.of_kind("runtime.replan.escalate")
+        assert escalation["reason"] == "workload_changed"
+        assert asked == []
+        deployed = {
+            name.split(".", 1)[0] for name in result.final_plan.placements
+        }
+        assert deployed == {p.name for p in programs[:-1]}
 
     def test_blast_fraction_escalates(self, programs, network):
         plan = Hermes().deploy(programs, network).plan
@@ -101,7 +123,7 @@ class TestIncrementalReplanner:
         shrunk = drop_switch(network, victim)
         with pytest.raises(IncrementalEscalation) as exc:
             IncrementalReplanner(max_blast_fraction=0.0).replan(
-                programs, shrunk, plan
+                shrunk, plan
             )
         assert exc.value.reason == "blast_fraction"
 
