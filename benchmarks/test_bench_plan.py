@@ -1,15 +1,16 @@
-"""Benchmark: incremental plan probing in the refine loop.
+"""Benchmark: probe-filtered candidate moves in the refine loop.
 
-``refine_plan`` screens candidate moves through a
-:class:`repro.plan.PlanBuilder` probe — apply the move incrementally,
-read ``A_max``, undo — and only builds the candidates the probe
-proves improving, assembling each from the stage layouts it memoizes
-per switch and MAT set and verifying it from tables memoized on the
-TDG.  This benchmark times it against the legacy loop of
-``tests/core/refine_oracle.py`` (a ``PlanBuilder`` rebuild of every
-candidate, no memo, the verifier before its tables) on the Exp#2
-golden family, asserting the refined plans are metric-identical (the
-probe filter is exact, so the accepted-move sequences match).
+``refine_plan`` screens each candidate move with an ``A_max`` probe —
+the moved MAT's edges shifted between switch pairs in the round's pair
+bytes — and only builds the candidates the probe proves improving,
+assembling each from the stage layouts it memoizes per switch and MAT
+set and verifying it from tables memoized on the TDG.  This benchmark
+times it against the legacy loop of ``tests/core/refine_oracle.py`` (a
+rebuild of every candidate through the ``PlanBuilder`` of
+``tests/plan_builder_oracle.py``, no memo, the verifier before its
+tables) on the Exp#2 golden family, asserting the refined plans are
+metric-identical (the probe filter is exact, so the accepted-move
+sequences match).
 
 Results are written to ``BENCH_plan.json`` at the repo root so the
 refine-loop wall-time contract is auditable across commits.
@@ -32,6 +33,7 @@ from repro.network.topozoo import topology_zoo_wan
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_plan.json")
 
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests"))
 sys.path.insert(0, os.path.join(_REPO_ROOT, "tests", "core"))
 from refine_oracle import legacy_refine_plan  # noqa: E402
 

@@ -40,7 +40,6 @@ __getattr__ = lazy_exports(
     {
         "repro.core.delta": ("DeltaFormulation", "select_delta_candidates"),
         "repro.core.formulation": ("HermesMilp", "MilpFormulation"),
-        "repro.core.formulation_stagewise": ("StagewiseMilp",),
     },
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "OverheadReport",
     "ProgramAnalyzer",
     "StageAssignmentError",
-    "StagewiseMilp",
     "SwitchConfig",
     "assign_stages",
     "explain_overhead",

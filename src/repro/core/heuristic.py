@@ -26,8 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages, segment_fits
 from repro.network.paths import PathEnumerator
-from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
-from repro.plan.builder import first_meet_routing
+from repro.plan.artifact import (
+    DeploymentError,
+    DeploymentPlan,
+    MatPlacement,
+    first_meet_routing,
+)
 from repro.network.switch import Switch
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
@@ -232,8 +236,10 @@ def split_tdg(
 
 
 #: Stands in, in a graph's split memo, for a split whose only segment is
-#: the graph itself: the graph must not hold itself in its own memo.
-_WHOLE = object()
+#: the graph itself: the graph must not hold itself in its own memo.  A
+#: real split has at least one segment, so the empty tuple is free, and
+#: unlike an ``object()`` marker it survives pickling the graph.
+_WHOLE: Tuple[Tdg, ...] = ()
 
 
 def _split_memo(_tdg: Tdg) -> Dict[Tuple[int, float, float], object]:
@@ -259,7 +265,7 @@ def _memoized_split(
         segments = split_tdg(tdg, reference, fill_floor)
         whole = len(segments) == 1 and segments[0] is tdg
         memo[key] = _WHOLE if whole else segments
-    elif segments is _WHOLE:
+    elif segments == _WHOLE:
         segments = [tdg]
     return list(segments)
 
@@ -512,10 +518,9 @@ class GreedyHeuristic:
     ) -> DeploymentPlan:
         """Lay each segment out on its candidate switch, route, validate.
 
-        The layouts are concatenated in segment order, so the plan
-        holds its placements, and routes its pairs, in the order a
-        :class:`~repro.plan.builder.PlanBuilder` placing them one by
-        one would.
+        The layouts are concatenated in segment order, and
+        :func:`~repro.plan.artifact.first_meet_routing` routes the
+        pairs in the order those placements first meet them.
         """
         placements: Dict[str, MatPlacement] = {}
         for segment, host in zip(segments, candidates):

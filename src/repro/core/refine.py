@@ -16,29 +16,29 @@ Every accepted move lowers ``A_max`` by at least one byte, so the
 search terminates.
 
 ``A_max`` depends only on the MAT -> switch host map — never on stage
-layouts or routing — so candidate moves are screened through a
-:class:`~repro.plan.builder.PlanBuilder` *probe* first: apply the move
-incrementally (O(degree)), read the candidate ``A_max``, undo.  Only
-moves the probe proves improving pay for a candidate plan.  The filter
-is exact — a probe-rejected candidate is precisely one the legacy
-search would have rejected after rebuilding — so the accepted-move
-sequence, and therefore the refined plan, is identical to the
-historical implementation; only the wall-clock drops (see
+layouts or routing — so each candidate move is screened first: the
+moved MAT's edges are taken off their old switch pairs and added to
+their new ones in the round's pair bytes, which gives the candidate's
+``A_max`` in O(degree + pairs) integer arithmetic.  Only moves this
+probe proves improving pay for a candidate plan.  The filter is exact
+— a probe-rejected candidate is precisely one the historical search
+would have rejected after rebuilding — so the accepted-move sequence,
+and therefore the refined plan, is identical to the historical
+implementation; only the wall-clock drops (see
 ``benchmarks/test_bench_plan.py``).
 
-A trial costs one probe move and undo.  A candidate the probe passes
-is assembled, not rebuilt, and a rejected one no longer pays for a
-rebuild.  Stage layouts, failures included, are memoized per switch
-and MAT set, and every switch's layout is looked up before anything
-is placed: only switches whose MAT set this call has not seen before
-(normally the two the move touches) are laid out, and a layout that
-does not fit rejects the candidate at once.  A feasible candidate is
-put together from the memoized placement records, without a
-:class:`~repro.plan.builder.PlanBuilder`, and routed from the path
-enumerator's cached shortest-path trees.  ``validate()`` and the
-dataflow verifier still run in full on it; the verifier reads tables
-memoized on the TDG, so the candidates of one call derive them once.
-The builder-based rebuild survives only as the tests' oracle.
+A candidate the probe passes is assembled, not rebuilt, and a rejected
+one no longer pays for a rebuild.  Stage layouts, failures included,
+are memoized per switch and MAT set, and every switch's layout is
+looked up before anything is placed: only switches whose MAT set this
+call has not seen before (normally the two the move touches) are laid
+out, and a layout that does not fit rejects the candidate at once.  A
+feasible candidate is put together from the memoized placement
+records and routed from the path enumerator's cached shortest-path
+trees.  ``validate()`` and the dataflow verifier still run in full on
+it; the verifier reads tables memoized on the TDG, so the candidates of
+one call derive them once.  The rebuild-per-candidate search survives
+only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
+    first_meet_routing,
 )
-from repro.plan.builder import PlanBuilder, first_meet_routing
+from repro.tdg.graph import Tdg
 
 
 #: Stage layouts memoized per ``(switch, frozenset(MAT names))``; None
@@ -73,11 +74,10 @@ def _rebuild(
     network; without it every switch is laid out afresh.  Every
     switch's layout is looked up before anything is placed, so an
     infeasible one rejects the mapping at once.  A feasible mapping is
-    assembled from the memoized placement records, in the order a
-    ``PlanBuilder`` placing them switch by switch would hold them, and
-    routed by :func:`~repro.plan.builder.first_meet_routing` in the
-    order that builder first meets each communicating pair.
-    ``validate()`` and the dataflow verifier then run in full.
+    assembled from the memoized placement records, switch by switch in
+    first-use order, and routed by
+    :func:`~repro.plan.artifact.first_meet_routing`.  ``validate()``
+    and the dataflow verifier then run in full.
     """
     layouts = {} if layouts is None else layouts
     by_switch: Dict[str, List[str]] = {}
@@ -120,6 +120,38 @@ def _rebuild(
     return candidate
 
 
+def _moved_amax(
+    tdg: Tdg,
+    pairs: Dict[Tuple[str, str], int],
+    hosts: Dict[str, str],
+    mat_name: str,
+    target: str,
+) -> int:
+    """``A_max`` once ``mat_name`` moves to ``target``, where ``hosts``
+    is the MAT -> switch map before the move and ``pairs`` its pair
+    bytes.
+
+    Each of the MAT's edges leaves its old switch pair and joins its new
+    one; a pair on one switch carries nothing.
+    """
+    source = hosts[mat_name]
+    after = dict(pairs)
+
+    def shift(old: Tuple[str, str], new: Tuple[str, str], size: int) -> None:
+        if old[0] != old[1]:
+            after[old] -= size
+        if new[0] != new[1]:
+            after[new] = after.get(new, 0) + size
+
+    for edge in tdg.out_edges(mat_name):
+        down = hosts[edge.downstream]
+        shift((source, down), (target, down), edge.metadata_bytes)
+    for edge in tdg.in_edges(mat_name):
+        up = hosts[edge.upstream]
+        shift((up, source), (up, target), edge.metadata_bytes)
+    return max(after.values(), default=0)
+
+
 def refine_plan(
     plan: DeploymentPlan,
     paths: Optional[PathEnumerator] = None,
@@ -140,10 +172,6 @@ def refine_plan(
     paths = paths or PathEnumerator(plan.network)
     layouts: Layouts = {}
     current = plan
-    # Incremental A_max probe mirroring the current host map.  Stage
-    # layouts in the probe go stale across accepted moves, which is
-    # fine: the byte metrics never read them.
-    probe = PlanBuilder.from_plan(plan)
     for _round in range(max_moves):
         pairs = current.pair_metadata_bytes()
         if not pairs:
@@ -174,10 +202,10 @@ def refine_plan(
                 (edge.downstream, u),
             ):
                 trials += 1
-                token = probe.move(mat_name, target)
-                candidate_amax = probe.max_metadata_bytes()
-                probe.undo(token)
-                if candidate_amax >= best_amax:
+                if (
+                    _moved_amax(current.tdg, pairs, hosts, mat_name, target)
+                    >= best_amax
+                ):
                     continue
                 trial_hosts = dict(hosts)
                 trial_hosts[mat_name] = target
@@ -189,7 +217,6 @@ def refine_plan(
                     and candidate.max_metadata_bytes() < best_amax
                 ):
                     current = candidate
-                    probe.move(mat_name, target)
                     improved = True
                     break
         if not improved:

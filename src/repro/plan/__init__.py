@@ -5,17 +5,15 @@ Every framework in the repo bottoms out in a
 plan a first-class artifact:
 
 * :mod:`repro.plan.artifact` — the immutable plan with cached metrics
-  and constraint validation;
-* :mod:`repro.plan.builder` — the mutable :class:`PlanBuilder` with
-  O(Δ) incremental metrics and apply/undo move semantics for the
-  optimizers' hot loops;
+  and constraint validation, and the shortest-path routing of its
+  communicating pairs;
 * :mod:`repro.plan.serialize` — canonical, versioned JSON round trips
   (``repro plan export`` / the runner's result cache);
 * :mod:`repro.plan.diff` — structural plan comparison
   (``repro plan diff`` / migration disruption reports);
 * :mod:`repro.plan.splice` — rebase/splice for warm replanning: carry
   surviving placements onto the current network and apply a delta
-  solution with stage fitting and an incremental ``A_max`` probe.
+  solution with stage fitting and an ``A_max`` cap.
 """
 
 from repro.plan.artifact import (
@@ -23,7 +21,6 @@ from repro.plan.artifact import (
     DeploymentPlan,
     MatPlacement,
 )
-from repro.plan.builder import PlanBuilder, UndoToken
 from repro.plan.diff import PlacementChange, PlanDiff, diff_plans
 from repro.plan.splice import rebase_plan, splice_plan
 from repro.plan.serialize import (
@@ -45,10 +42,8 @@ __all__ = [
     "DeploymentPlan",
     "MatPlacement",
     "PlacementChange",
-    "PlanBuilder",
     "PlanDiff",
     "PlanSchemaError",
-    "UndoToken",
     "canonical_dumps",
     "diff_plans",
     "plan_fingerprint",

@@ -9,14 +9,14 @@ end-to-end latency ``t_e2e`` and occupied switch count ``Q_occ``.
 
 The plan is an *immutable artifact*: once constructed, its placements
 and routing never change, so every derived metric is computed once and
-cached.  Code that needs to edit a plan goes through the mutable
-:class:`repro.plan.builder.PlanBuilder`, which maintains the same
-metrics incrementally (O(Δ) per move instead of O(E) per query) and
-emits a fresh plan via :meth:`~repro.plan.builder.PlanBuilder.build`.
-Plans serialize to a canonical, versioned JSON document
-(:meth:`DeploymentPlan.to_dict` / :meth:`DeploymentPlan.from_dict`; see
-:mod:`repro.plan.serialize`) and compare structurally via
-:func:`repro.plan.diff.diff_plans`.
+cached.  Code that needs another plan constructs one:
+:func:`first_meet_routing` routes a set of placements, and
+:meth:`DeploymentPlan.with_routing` gives a sibling with the same
+placements and new routing (and, for a rebase, a new network) that
+shares what the placements determine.  Plans serialize to a canonical,
+versioned JSON document (:meth:`DeploymentPlan.to_dict` /
+:meth:`DeploymentPlan.from_dict`; see :mod:`repro.plan.serialize`) and
+compare structurally via :func:`repro.plan.diff.diff_plans`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.network.paths import Path
+from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
 
@@ -67,13 +67,16 @@ class MatPlacement:
 
 
 #: The lazy metric caches that depend only on the TDG and the
-#: placements, never on the network or the routing.
+#: placements, never on the network or the routing, and the record that
+#: the placements passed :meth:`DeploymentPlan.validate`'s coverage and
+#: intra-switch order checks, which read nothing else either.
 _PLACEMENT_CACHES = (
     "_pair_bytes_cache",
     "_amax_cache",
     "_total_bytes_cache",
     "_occupied_cache",
     "_stage_util_cache",
+    "_placements_checked",
 )
 
 #: Attributes the lazy metric caches may write after construction.
@@ -113,6 +116,7 @@ class DeploymentPlan:
         object.__setattr__(self, "_occupied_cache", None)
         object.__setattr__(self, "_e2e_cache", None)
         object.__setattr__(self, "_stage_util_cache", {})
+        object.__setattr__(self, "_placements_checked", False)
 
     # ------------------------------------------------------------------
     # Immutability
@@ -122,8 +126,8 @@ class DeploymentPlan:
             object.__setattr__(self, name, value)
             return
         raise AttributeError(
-            f"DeploymentPlan is immutable; cannot set {name!r} — edit "
-            "through repro.plan.PlanBuilder instead"
+            f"DeploymentPlan is immutable; cannot set {name!r} — "
+            "construct a new plan instead"
         )
 
     def __reduce__(self):
@@ -166,11 +170,13 @@ class DeploymentPlan:
         """A sibling plan with the same TDG and placements, new routing,
         and ``network`` in place of this plan's when given (a rebase).
 
-        The sibling shares the metrics that depend only on the TDG and
-        the placements: pair bytes, ``A_max``, total bytes, occupied
-        switches and per-switch stage loads.  Routing-derived values
-        (``t_e2e``) are computed afresh, and :meth:`validate` still
-        checks everything against the sibling's own network.
+        The sibling shares what depends only on the TDG and the
+        placements: pair bytes, ``A_max``, total bytes, occupied
+        switches, per-switch stage loads, and whether this plan passed
+        :meth:`validate`, whose coverage and intra-switch order checks
+        the sibling then skips.  Routing-derived values (``t_e2e``) are
+        computed afresh, and hosts, stage capacity and routing are
+        always checked against the sibling's own network.
         """
         plan = DeploymentPlan(
             self._tdg,
@@ -329,11 +335,18 @@ class DeploymentPlan:
                 overflow (Eq. 9), intra-switch ordering (Eq. 8), or
                 missing inter-switch routing (Eq. 7).
         """
-        self._check_coverage()
+        # Coverage and Eq. 8 read only the TDG and the placements, so
+        # a plan whose placements passed once (or a sibling's, see
+        # with_routing) skips them.
+        checked = self._placements_checked
+        if not checked:
+            self._check_coverage()
         self._check_hosts()
         self._check_stage_capacity(tol)
-        self._check_intra_switch_order()
+        if not checked:
+            self._check_intra_switch_order()
         self._check_routing()
+        self._placements_checked = True
 
     def _check_coverage(self) -> None:
         placed = set(self._placements)
@@ -402,3 +415,56 @@ class DeploymentPlan:
             f"{self.num_occupied_switches()} switches, "
             f"A_max={self.max_metadata_bytes()}B)"
         )
+
+
+def _neighbours(
+    tdg: Tdg,
+) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """Each MAT's successors and predecessors, sorted by name.  Memoized
+    per graph."""
+    return {
+        name: (
+            tuple(sorted(tdg.successors(name))),
+            tuple(sorted(tdg.predecessors(name))),
+        )
+        for name in tdg.node_names
+    }
+
+
+def first_meet_routing(
+    tdg: Tdg,
+    placements: Mapping[str, MatPlacement],
+    paths: PathEnumerator,
+) -> Dict[Tuple[str, str], Path]:
+    """Shortest-path routing for every communicating pair of
+    ``placements``.
+
+    Pairs are routed in the order the placements first meet them: the
+    placements in order, and for each placement its pairs with the
+    successors placed before it, then with the predecessors placed
+    before it, each by name.  A pair on one switch needs no route, and
+    a routed pair is not routed again.  ``Backend.compile`` emits
+    forwarding entries in routing order, and the first pair without a
+    path is the one reported.
+
+    Raises:
+        DeploymentError: When a communicating pair has no path.
+    """
+    neighbours = tdg.memoized(_neighbours)
+    placed: Dict[str, str] = {}
+    routing: Dict[Tuple[str, str], Path] = {}
+    for mat_name, placement in placements.items():
+        here = placed[mat_name] = placement.switch
+        successors, predecessors = neighbours[mat_name]
+        pairs = [(here, placed[d]) for d in successors if d in placed]
+        pairs += [(placed[p], here) for p in predecessors if p in placed]
+        for pair in pairs:
+            if pair[0] == pair[1] or pair in routing:
+                continue
+            path = paths.shortest(*pair)
+            if path is None:
+                raise DeploymentError(
+                    f"no path between communicating switches {pair}"
+                )
+            routing[pair] = path
+    return routing

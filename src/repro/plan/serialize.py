@@ -20,8 +20,8 @@ equal plans serialize to equal byte strings, which is what
 the document section by section in sorted key order, and the TDG
 section, most of a document, is the text memoized on the
 :class:`~repro.tdg.graph.Tdg` (:meth:`~repro.tdg.graph.Tdg.memoized`).
-Plans that share a graph (rebases, splices, builders on an existing
-TDG) therefore serialize only their placements, routing, network and
+Plans that share a graph (rebases, splices, refinement's candidates)
+therefore serialize only their placements, routing, network and
 metrics.  MATs and edges are immutable and every TDG mutator clears the
 memo, so the digest always equals the hash of
 ``canonical_dumps(plan_to_dict(plan))``.

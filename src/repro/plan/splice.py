@@ -9,13 +9,11 @@ contract:
 
 * :func:`rebase_plan` — the empty-blast-radius case: every placement
   survives verbatim; only the routing is recomputed on the current
-  substrate, without a :class:`~repro.plan.builder.PlanBuilder`.
+  substrate.
 * :func:`splice_plan` — apply a delta assignment (``MAT -> switch`` for
-  the free MATs) on top of the surviving placements through a
-  :class:`~repro.plan.builder.PlanBuilder`, fitting stages with the
-  same window search the cheapest-patch fallback uses, probing the
-  result with the builder's exact incremental ``A_max`` and undoing
-  every applied placement when the splice proves infeasible or blows an
+  the free MATs) on top of the surviving placements, fitting stages
+  with the same window search the cheapest-patch fallback uses, and
+  refuse the result when it is infeasible or its ``A_max`` blows an
   optional ``amax_cap``.
 
 The stage-fitting helpers (:func:`stage_window`, :func:`fit_stages`,
@@ -35,8 +33,8 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
+    first_meet_routing,
 )
-from repro.plan.builder import PlanBuilder, first_meet_routing
 from repro.tdg.graph import Tdg
 
 
@@ -164,13 +162,12 @@ def rebase_plan(
     ``A_max`` is invariant under rebasing — pair bytes depend only on
     placements, never on links.  The placements are kept as they are,
     in their order, and routed by
-    :func:`~repro.plan.builder.first_meet_routing`, so the plan equals
-    the one a :class:`~repro.plan.builder.PlanBuilder` seeded with them
-    would build, without paying for the builder's incremental metrics.
-    The rebased plan is :meth:`DeploymentPlan.with_routing` on the new
-    network, so it inherits the old plan's placement metrics (pair
-    bytes, ``A_max``, occupied switches, stage loads) and validation
-    does not recompute them.
+    :func:`~repro.plan.artifact.first_meet_routing`.  The rebased plan
+    is :meth:`DeploymentPlan.with_routing` on the new network, so it
+    inherits the old plan's placement metrics (pair bytes, ``A_max``,
+    occupied switches, stage loads) and, when the old plan passed
+    validation, skips the checks that read only the placements; hosts,
+    stage capacity and routing are checked on ``network``.
 
     Raises:
         DeploymentError: When validation fails (a placement actually
@@ -206,13 +203,14 @@ def splice_plan(
     Every MAT outside ``assignment`` keeps its old placement verbatim;
     each MAT in ``assignment`` is re-homed onto its assigned switch in
     TDG-topological order, stages chosen by the same dependency-window
-    search the patch fallback uses.  The placements are applied through
-    a :class:`PlanBuilder`, whose incremental metrics give an exact
-    O(degree) ``A_max`` probe; when the probe exceeds ``amax_cap`` (the
-    delta model's predicted objective, when the caller knows it) every
-    applied placement is undone and the splice fails — the model and
-    the plan disagreeing means the delta abstraction leaked, and the
-    caller must escalate rather than activate a mispriced plan.
+    search the patch fallback uses.  The plan holds the kept placements
+    in the old plan's order, then the re-homed ones in that topological
+    order.  When its ``A_max`` exceeds ``amax_cap`` (the delta model's
+    predicted objective, when the caller knows it) the splice fails
+    before routing — the model and the plan disagreeing means the delta
+    abstraction leaked, and the caller must escalate rather than
+    activate a mispriced plan.  Otherwise the pairs are routed by
+    :func:`~repro.plan.artifact.first_meet_routing`.
 
     Args:
         old_plan: The currently active plan; its TDG must still be the
@@ -237,66 +235,55 @@ def splice_plan(
             f"splice: assignment names unknown MATs {sorted(unknown)}"
         )
     hostable = {s.name: s for s in network.programmable_switches()}
-    fixed = {
+    placements: Dict[str, MatPlacement] = {
         name: placement
         for name, placement in old_plan.placements.items()
         if name not in free
     }
-    builder = PlanBuilder(tdg, network, fixed)
-    capacity = free_capacity(tdg, hostable, fixed)
-    placements: Dict[str, MatPlacement] = dict(fixed)
-    applied = []
-    try:
-        for name in tdg.topological_order():
-            if name not in free:
-                continue
-            switch_name = assignment[name]
-            host = hostable.get(switch_name)
-            if host is None:
-                raise DeploymentError(
-                    f"splice: {name!r} assigned to non-hostable "
-                    f"switch {switch_name!r}"
-                )
-            window = stage_window(tdg, name, switch_name, host, placements)
-            if window is None:
-                raise DeploymentError(
-                    f"splice: no stage window for {name!r} on "
-                    f"{switch_name!r}"
-                )
-            stages = fit_stages(
-                tdg.node(name).resource_demand,
-                capacity[switch_name],
-                window[0],
-                window[1],
-            )
-            if stages is None:
-                raise DeploymentError(
-                    f"splice: {name!r} does not fit on {switch_name!r}"
-                )
-            if not neighbors_reachable(
-                tdg, name, switch_name, placements, paths
-            ):
-                raise DeploymentError(
-                    f"splice: {name!r} on {switch_name!r} cannot reach "
-                    "a placed neighbor"
-                )
-            applied.append(builder.place(name, switch_name, stages))
-            placements[name] = MatPlacement(name, switch_name, tuple(stages))
-            share = tdg.node(name).resource_demand / len(stages)
-            for stage in stages:
-                capacity[switch_name][stage - 1] -= share
-        if (
-            amax_cap is not None
-            and builder.max_metadata_bytes() > amax_cap
-        ):
+    capacity = free_capacity(tdg, hostable, placements)
+    for name in tdg.topological_order():
+        if name not in free:
+            continue
+        switch_name = assignment[name]
+        host = hostable.get(switch_name)
+        if host is None:
             raise DeploymentError(
-                f"splice: incremental A_max probe "
-                f"{builder.max_metadata_bytes()} B exceeds the delta "
-                f"model's prediction {amax_cap} B"
+                f"splice: {name!r} assigned to non-hostable "
+                f"switch {switch_name!r}"
             )
-    except DeploymentError:
-        for token in reversed(applied):
-            builder.undo(token)
-        raise
-    builder.route_shortest(paths)
-    return builder.build(validate=validate)
+        window = stage_window(tdg, name, switch_name, host, placements)
+        if window is None:
+            raise DeploymentError(
+                f"splice: no stage window for {name!r} on "
+                f"{switch_name!r}"
+            )
+        stages = fit_stages(
+            tdg.node(name).resource_demand,
+            capacity[switch_name],
+            window[0],
+            window[1],
+        )
+        if stages is None:
+            raise DeploymentError(
+                f"splice: {name!r} does not fit on {switch_name!r}"
+            )
+        if not neighbors_reachable(tdg, name, switch_name, placements, paths):
+            raise DeploymentError(
+                f"splice: {name!r} on {switch_name!r} cannot reach "
+                "a placed neighbor"
+            )
+        placements[name] = MatPlacement(name, switch_name, tuple(stages))
+        share = tdg.node(name).resource_demand / len(stages)
+        for stage in stages:
+            capacity[switch_name][stage - 1] -= share
+    plan = DeploymentPlan(tdg, network, placements)
+    if amax_cap is not None and plan.max_metadata_bytes() > amax_cap:
+        raise DeploymentError(
+            f"splice: incremental A_max probe "
+            f"{plan.max_metadata_bytes()} B exceeds the delta "
+            f"model's prediction {amax_cap} B"
+        )
+    plan = plan.with_routing(first_meet_routing(tdg, placements, paths))
+    if validate:
+        plan.validate()
+    return plan

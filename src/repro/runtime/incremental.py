@@ -3,28 +3,31 @@
 A cold replan rebuilds the whole deployment from the current workload
 and network — correct, memoryless, and wasteful: most churn events
 leave nearly every placement valid.  :class:`IncrementalReplanner`
-exploits that.  It classifies the event's blast radius exactly the way
-the cheapest-patch fallback does (a placement is *orphaned* when its
-host vanished, stopped being programmable, or shrank below the
-placement's last stage) and then picks the cheapest sound repair:
+exploits that.  It tries the cheapest sound repair first and measures
+the event's blast radius only when that fails, exactly the way the
+cheapest-patch fallback does (a placement is *orphaned* when its host
+vanished, stopped being programmable, or shrank below the placement's
+last stage):
 
-* **rebase** — empty blast radius: the old placements carry over
-  verbatim and only the routing is re-derived
-  (:func:`repro.plan.splice.rebase_plan`).  ``A_max`` depends only on
-  placements, so a rebase preserves it *exactly* — this rung is
-  byte-equivalent to a full replan whose optimizer would keep the same
-  placements, and it costs microseconds.
+* **rebase** — tried first: the old placements carry over verbatim and
+  only the routing is re-derived
+  (:func:`repro.plan.splice.rebase_plan`).  Its validation checks every
+  host against the orphan predicate, so it succeeds only when the blast
+  radius is empty.  ``A_max`` depends only on placements, so a rebase
+  preserves it *exactly* — this rung is byte-equivalent to a full
+  replan whose optimizer would keep the same placements, and it costs
+  microseconds.
 * **delta** — small blast radius: the orphans are re-homed by the
   restricted MILP (:class:`repro.core.delta.DeltaFormulation`) and the
   solution spliced into the surviving placements
   (:func:`repro.plan.splice.splice_plan`) under the model's own
-  ``A_max`` prediction as a probe cap.
+  ``A_max`` prediction as a cap.
 
 Anything else raises :class:`IncrementalEscalation` and the reconciler
-falls through to the cold rungs: a blast radius above
-``max_blast_fraction`` (the delta abstraction stops being cheaper or
-tighter than a cold solve), or any ``DeploymentError`` out of the
-rebase / delta / splice machinery.
+falls through to the cold rungs: a failed rebase with nothing
+orphaned, a blast radius above ``max_blast_fraction`` (the delta
+abstraction stops being cheaper or tighter than a cold solve), or any
+``DeploymentError`` out of the delta / splice machinery.
 
 Both repairs keep the old plan's TDG, so they are sound only while it
 is still the live workload.  The caller establishes that before it
@@ -130,14 +133,18 @@ class IncrementalReplanner:
                 escalation causes.
         """
         paths = paths or PathEnumerator(network)
-        orphans = find_orphans(old_plan, network)
-        if not orphans:
-            try:
-                plan = rebase_plan(old_plan, network, paths)
-            except DeploymentError as exc:
+        # A rebase validates every host, so it succeeds only when no
+        # placement is orphaned: try it first, and look for orphans
+        # only when it fails.
+        try:
+            plan = rebase_plan(old_plan, network, paths)
+        except DeploymentError as exc:
+            orphans = find_orphans(old_plan, network)
+            if not orphans:
                 raise IncrementalEscalation(
                     "rebase_failed", f"incremental: rebase failed: {exc}"
                 ) from exc
+        else:
             emit(
                 "runtime.replan.incremental",
                 mode=MODE_REBASE,

@@ -381,13 +381,13 @@ class Reconciler:
             time_s=batch_time,
             events=len(batch),
         )
-        workload_changed = set(p.name for p in world.current_programs()) != {
-            p.name for p in self.programs
-        } or any(
-            e.kind in ("workload_add", "workload_remove") for e in batch
+        # The verdict the warm rung acts on: whether the active plan was
+        # deployed for other programs than the live ones.
+        workload_changed = not _same_programs(
+            self._deployed_for, world.current_programs()
         )
         new_plan, attempts, used_patch, elapsed_s, backoff_s, error, rung = (
-            self._replan(world, old_plan)
+            self._replan(world, old_plan, workload_changed)
         )
         outcome = EventOutcome(
             batch_index=index,
@@ -503,22 +503,25 @@ class Reconciler:
 
     # ------------------------------------------------------------------
     def _replan(
-        self, world: WorldState, old_plan: DeploymentPlan
+        self,
+        world: WorldState,
+        old_plan: DeploymentPlan,
+        workload_changed: bool,
     ) -> Tuple[
         Optional[DeploymentPlan], int, bool, float, float, Optional[str], str
     ]:
         """One policy-governed replan down the escalation ladder.
 
-        Returns ``(plan, attempts, used_patch, elapsed_s, backoff_s,
-        error, rung)``; ``plan`` is None when every attempt failed, in
-        which case ``rung`` is :data:`RUNG_NONE`.
+        ``workload_changed`` says whether ``old_plan`` was deployed for
+        other programs than the live ones; both warm repairs keep its
+        TDG, so they need it False.  Returns ``(plan, attempts,
+        used_patch, elapsed_s, backoff_s, error, rung)``; ``plan`` is
+        None when every attempt failed, in which case ``rung`` is
+        :data:`RUNG_NONE`.
         """
         policy = self.policy
         programs = world.current_programs()
         network = world.current_network()
-        # Both warm repairs keep the old plan's TDG, so they need the
-        # programs it was deployed for to be the live ones.
-        workload_unchanged = _same_programs(self._deployed_for, programs)
 
         # Rung 1: warm incremental repair.  Escalation is decided by
         # structure (workload, blast radius, feasibility) — never by
@@ -526,7 +529,7 @@ class Reconciler:
         if self._incremental is not None:
             start = _time.perf_counter()
             try:
-                if not workload_unchanged:
+                if workload_changed:
                     raise IncrementalEscalation(
                         "workload_changed",
                         "incremental: the live workload no longer matches "
@@ -571,7 +574,7 @@ class Reconciler:
             if (
                 policy.replan_budget_s is not None
                 and elapsed > policy.replan_budget_s
-                and workload_unchanged
+                and not workload_changed
             ):
                 emit(
                     "runtime.replan.fallback",

@@ -4,7 +4,7 @@ layouts, kept as the tests' reference model.
 :func:`repro.core.refine._rebuild` takes every switch's stage layout
 from the memo before it places anything and assembles a feasible
 candidate straight from the memoized placement records, without a
-:class:`~repro.plan.builder.PlanBuilder`.  It must return what the
+:class:`~plan_builder_oracle.PlanBuilder`.  It must return what the
 builder-based rebuild returned: None for the same host maps, and
 otherwise a plan with the same placements, routing (both in the same
 order), fingerprint and verifier report.  This module is that code,
@@ -27,7 +27,7 @@ from repro.core.stages import StageAssignmentError, assign_stages
 from repro.core.verification import DataflowError
 from repro.network.paths import PathEnumerator
 from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
-from repro.plan.builder import PlanBuilder
+from plan_builder_oracle import PlanBuilder
 
 Layouts = Dict[Tuple[str, FrozenSet[str]], Optional[Dict[str, MatPlacement]]]
 

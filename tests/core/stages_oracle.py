@@ -7,7 +7,7 @@ capacity of the window it grows and reads one stage per candidate
 window; it must return the window the scan that re-reads every stage of
 every candidate returned.  ``GreedyHeuristic._place`` concatenates the
 segments' layouts and routes them with
-:func:`repro.plan.builder.first_meet_routing`; it must return what the
+:func:`repro.plan.artifact.first_meet_routing`; it must return what the
 builder-based placement returned: the same placements and routing, both
 in the same order, or raise the same exception with the same message at
 the same point.  This module is that code, copied, not imported:
@@ -27,7 +27,7 @@ from repro.core.stages import assign_stages
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentPlan
-from repro.plan.builder import PlanBuilder
+from plan_builder_oracle import PlanBuilder
 from repro.tdg.graph import Tdg
 
 

@@ -19,6 +19,11 @@ list scheduler) loses nothing on instances small enough to check.
 MATs whose demand exceeds one stage's capacity are out of scope (the
 paper's spanning ``R(a, i, u)`` would need fractional spreading
 variables); use the two-level pipeline for those.
+
+No pipeline, CLI command or suite runs this model, so it lives with the
+tests as their oracle.  Import it as a plain module
+(``from stagewise_oracle import StagewiseMilp``); it deliberately
+contains no tests of its own.
 """
 
 from __future__ import annotations

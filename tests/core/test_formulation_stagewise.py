@@ -1,10 +1,10 @@
 """Tests for the stage-granular P#1 oracle."""
 
 import pytest
+from stagewise_oracle import StagewiseMilp
 
 from repro.core.analyzer import ProgramAnalyzer
 from repro.core.formulation import HermesMilp
-from repro.core.formulation_stagewise import StagewiseMilp
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.verification import verify_dataflow
 from repro.dataplane.actions import no_op

@@ -1,5 +1,7 @@
 """Unit tests for the greedy heuristic (Algorithm 2)."""
 
+import pickle
+
 import pytest
 
 import repro.core.heuristic as heuristic
@@ -271,6 +273,21 @@ class TestSplitMemo:
         assert sum(call is tdg for call in split_calls) == 1
         (entry,) = tdg.memoized(heuristic._split_memo).values()
         assert not isinstance(entry, list)
+
+    def test_one_segment_split_survives_pickling(self):
+        """The one-segment marker must still read as one after the
+        graph, memo included, is pickled and loaded."""
+        programs = real_programs(2)
+        tdg = ProgramAnalyzer().analyze(programs)
+        network = self.wan(12)
+        plan = GreedyHeuristic().deploy(tdg, network)
+        assert plan.num_occupied_switches() == 1
+        copy = pickle.loads(pickle.dumps(tdg))
+        again = GreedyHeuristic().deploy(copy, network)
+        assert plan_fingerprint(again) == plan_fingerprint(plan)
+        assert tdg.memoized(heuristic._split_memo) == copy.memoized(
+            heuristic._split_memo
+        )
 
     def test_custom_splitter_bypasses_the_memo(self):
         programs = real_programs(10)

@@ -1,11 +1,11 @@
 """Differential test: probe-filtered refine == the legacy refine.
 
-``refine_plan`` screens candidate moves through an incremental
-:class:`PlanBuilder` probe before paying for a rebuild, and builds a
-candidate from memoized stage layouts.  The filter must be *exact*: the
-probe's ``A_max`` for a candidate host map equals what the rebuilt plan
-would report, so the accepted-move sequence — and therefore the final
-plan — is identical to the historical implementation that rebuilt every
+``refine_plan`` screens candidate moves with an ``A_max`` probe on the
+round's pair bytes before paying for a rebuild, and builds a candidate
+from memoized stage layouts.  The filter must be *exact*: the probe's
+``A_max`` for a candidate host map equals what the rebuilt plan would
+report, so the accepted-move sequence — and therefore the final plan —
+is identical to the historical implementation that rebuilt every
 candidate.  That implementation is :mod:`refine_oracle`'s
 ``legacy_refine_plan``, which rebuilds through a ``PlanBuilder``
 without the stage-layout memo ``refine_plan`` passes, so the memo and

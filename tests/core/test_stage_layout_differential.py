@@ -49,7 +49,7 @@ from repro.network.switch import Switch
 from repro.network.topology import Link, Network
 from repro.plan import plan_fingerprint
 from repro.plan.artifact import DeploymentError, DeploymentPlan
-from repro.plan.builder import first_meet_routing
+from repro.plan.artifact import first_meet_routing
 from repro.plan.splice import rebase_plan
 import repro.runtime.incremental as incremental
 from repro.runtime import Reconciler, ReconcilerPolicy

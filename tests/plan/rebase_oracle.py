@@ -3,7 +3,7 @@ as the tests' reference model.
 
 :func:`repro.plan.splice.rebase_plan` keeps the old plan's placements as
 they are and routes them with
-:func:`repro.plan.builder.first_meet_routing`.  It must return what the
+:func:`repro.plan.artifact.first_meet_routing`.  It must return what the
 builder-based rebase returned: the same placements and routing, both in
 the same order, and so the same fingerprint and switch configurations,
 or raise the same exception with the same message.  This module is that
@@ -21,7 +21,7 @@ from typing import Optional
 from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import DeploymentError, DeploymentPlan
-from repro.plan.builder import PlanBuilder
+from plan_builder_oracle import PlanBuilder
 
 
 def legacy_rebase_plan(

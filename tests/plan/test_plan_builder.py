@@ -5,18 +5,21 @@ loads and switch occupancy incrementally across arbitrary
 place/move/unplace sequences.  These tests drive random mutation
 sequences (Hypothesis) and check, after every operation, that the
 incremental state equals a from-scratch recomputation — and that
-``undo`` restores the exact prior state.
+``undo`` restores the exact prior state.  The builder is the oracle of
+``tests/plan_builder_oracle.py`` that the other differentials build
+their reference plans with.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plan_builder_oracle import PlanBuilder
 
 from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.network.switch import Switch
 from repro.network.topology import Link, Network
-from repro.plan import DeploymentError, DeploymentPlan, PlanBuilder
+from repro.plan import DeploymentError, DeploymentPlan
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 

@@ -2,12 +2,14 @@
 
 import json
 
+from plan_builder_oracle import PlanBuilder
+
 from repro.dataplane.actions import no_op
 from repro.dataplane.mat import Mat
 from repro.network.paths import PathEnumerator
 from repro.network.switch import Switch
 from repro.network.topology import Link, Network
-from repro.plan import PlanBuilder, diff_plans
+from repro.plan import diff_plans
 from repro.tdg.dependencies import DependencyType
 from repro.tdg.graph import Tdg
 

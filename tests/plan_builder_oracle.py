@@ -1,26 +1,27 @@
-"""Mutable plan construction with incremental metrics.
+"""The mutable plan builder, kept as the tests' reference model.
 
-:class:`PlanBuilder` is the editing counterpart of the immutable
-:class:`~repro.plan.artifact.DeploymentPlan`.  It maintains the plan
-metrics the optimizers query in their hot loops — per-pair metadata
-byte totals, the ``A_max`` extremum, total coordination bytes and
-per-stage resource loads — *incrementally*: each
-:meth:`place`/:meth:`unplace`/:meth:`move` updates them in
-O(degree(MAT)) instead of the O(|E|) full recompute the historical
-``DeploymentPlan`` paid per metric call.  That turns the refine local
-search and the heuristic portfolio comparison from quadratic metric
-recomputation into linear work (ROADMAP: "make a hot path measurably
-faster"; benchmarked in ``benchmarks/test_bench_plan.py``).
-
-Every mutator returns an :class:`UndoToken`; :meth:`undo` restores the
-exact prior state, giving the refine search cheap apply/undo move
-semantics without copying the plan.
+Plans used to be edited through :class:`PlanBuilder`, which maintains
+the plan metrics incrementally — per-pair metadata byte totals, the
+``A_max`` extremum, total coordination bytes and per-stage resource
+loads — across :meth:`~PlanBuilder.place`, :meth:`~PlanBuilder.move`
+and :meth:`~PlanBuilder.unplace`, each of which returns an
+:class:`UndoToken`.  Every producer now constructs its
+:class:`~repro.plan.artifact.DeploymentPlan` directly: refinement
+probes a move's ``A_max`` from the plan's own pair bytes, a splice
+places the re-homed MATs itself, and every plan is routed by
+:func:`~repro.plan.artifact.first_meet_routing`.  This module is the
+builder as it was, copied: the oracles of ``tests/core`` and
+``tests/plan``, and through them ``benchmarks/test_bench_plan.py``,
+build their reference plans with it.
 
 The builder does **not** validate while editing — intermediate states
 (a MAT parked on a switch with too few stages, an unrouted pair) are
 legal scratch states.  Constraints are enforced when the artifact is
-frozen via :meth:`build`, which runs
+frozen via :meth:`~PlanBuilder.build`, which runs
 :meth:`DeploymentPlan.validate` by default.
+
+Import it as a plain module (``from plan_builder_oracle import ...``);
+it deliberately contains no tests of its own.
 """
 
 from __future__ import annotations
@@ -36,60 +37,6 @@ from repro.tdg.graph import Tdg
 #: Stage loads smaller than this are treated as vacated (floating-point
 #: dust left by place/unplace round trips).
 _LOAD_EPS = 1e-9
-
-
-def _neighbours(
-    tdg: Tdg,
-) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-    """Each MAT's successors and predecessors, sorted by name: the order
-    in which :class:`PlanBuilder` visits a placed MAT's out- and
-    in-edges.  Memoized per graph."""
-    return {
-        name: (
-            tuple(sorted(tdg.successors(name))),
-            tuple(sorted(tdg.predecessors(name))),
-        )
-        for name in tdg.node_names
-    }
-
-
-def first_meet_routing(
-    tdg: Tdg,
-    placements: Mapping[str, MatPlacement],
-    paths: PathEnumerator,
-) -> Dict[Tuple[str, str], Path]:
-    """Shortest-path routing for every communicating pair of
-    ``placements``, without a :class:`PlanBuilder`.
-
-    A builder given ``placements`` one by one meets each pair when the
-    second of its first two MATs is placed, and
-    :meth:`PlanBuilder.route_shortest` routes the pairs in that order.
-    This routes them in the same order, with the same ``paths`` queries,
-    so the routing, its order (``Backend.compile`` emits forwarding
-    entries in routing order) and the first pair that fails all equal
-    the builder's.
-
-    Raises:
-        DeploymentError: When a communicating pair has no path.
-    """
-    neighbours = tdg.memoized(_neighbours)
-    placed: Dict[str, str] = {}
-    routing: Dict[Tuple[str, str], Path] = {}
-    for mat_name, placement in placements.items():
-        here = placed[mat_name] = placement.switch
-        successors, predecessors = neighbours[mat_name]
-        pairs = [(here, placed[d]) for d in successors if d in placed]
-        pairs += [(placed[p], here) for p in predecessors if p in placed]
-        for pair in pairs:
-            if pair[0] == pair[1] or pair in routing:
-                continue
-            path = paths.shortest(*pair)
-            if path is None:
-                raise DeploymentError(
-                    f"no path between communicating switches {pair}"
-                )
-            routing[pair] = path
-    return routing
 
 
 @dataclass

@@ -114,3 +114,19 @@ def test_network_batches_after_a_workload_change_stay_warm():
     # Batch 3 (a switch recovery) follows the removal in batch 2.
     assert rungs[2] == "full"
     assert rungs[3] == "incremental"
+
+
+def test_converged_events_report_the_reconcilers_verdict():
+    """``runtime.converged``'s ``workload_changed`` says whether the
+    active plan was deployed for other programs than the live ones, the
+    verdict the warm rung acts on: network batches after a deployed
+    workload change read False."""
+    programs, network, scenario = re_added_name()
+    recorder = Recorder()
+    with attached(recorder):
+        Reconciler(programs, network, policy=WARM).run(scenario)
+    verdicts = [
+        event["workload_changed"]
+        for event in recorder.of_kind("runtime.converged")
+    ]
+    assert verdicts == [True, False, True, False, True, True, False]

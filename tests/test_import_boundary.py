@@ -99,7 +99,6 @@ EXPORTS = {
         "repro.core.delta": "DeltaFormulation select_delta_candidates",
         "repro.core.explain": "OverheadReport explain_overhead",
         "repro.core.formulation": "HermesMilp MilpFormulation",
-        "repro.core.formulation_stagewise": "StagewiseMilp",
         "repro.core.hermes": "Hermes HermesResult",
         "repro.core.heuristic": "GreedyHeuristic split_tdg",
         "repro.core.refine": "refine_plan",
