@@ -11,8 +11,18 @@ Implementation notes:
 
 * The prefix sweep is computed incrementally (moving node ``a`` from
   the right side to the left changes the cut by ``out_bytes(a) -
-  in_bytes(a)``), giving the ``O((|V| + |E|) log |V|)`` split cost of
-  Theorem 2.
+  in_bytes(a)``), so choosing one split position costs
+  ``O((|V| + |E|) log |V|)`` on the graph still to split, Theorem 2's
+  bound: the order (a DFS and a heap per program group) is the log
+  factor, the sweep is linear.
+* Each round also induces the chosen prefix once (``O(|V| + |E|)``),
+  lays it out once per MAT it has to give up (each shrink drops the
+  last MAT with ``remove_node``, ``O(deg)``), and removes the accepted
+  prefix from the one working copy of the rest (its incident edges).
+  A split into ``k`` segments therefore costs
+  ``O(k (|V| + |E|) log |V|)`` plus the stage layouts of its
+  feasibility tests: one of the rest per round and one of the prefix
+  per size tried.
 * Segment feasibility uses the exact stage scheduler
   (:func:`repro.core.stages.segment_fits`), which is sound where the
   paper's aggregate ``sum R(a) <= C_stage * C_res`` test can accept
@@ -21,6 +31,7 @@ Implementation notes:
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,9 +72,8 @@ def split_order(tdg: Tdg) -> List[str]:
     """
     dfs = tdg.topological_order(strategy="dfs")
     rank = {name: i for i, name in enumerate(dfs)}
-
-    def program_of(name: str) -> str:
-        return name.split(".", 1)[0]
+    program = {name: name.split(".", 1)[0] for name in dfs}
+    succ, pred = tdg._succ, tdg._pred  # read, never changed
 
     # Merged hub MATs (shared hashes) feed several programs but are
     # owned — by naming accident of the merge — by one of them.  Left
@@ -73,43 +83,42 @@ def split_order(tdg: Tdg) -> List[str]:
     hubs = {
         name
         for name in dfs
-        if any(
-            program_of(s) != program_of(name)
-            for s in tdg.successors(name)
-        )
+        if any(program[s] != program[name] for s in succ[name])
     }
     for hub in hubs:
         rank[hub] = -len(dfs) + rank[hub]  # emit hubs first
+    group = {
+        name: "__hubs__" if name in hubs else program[name] for name in dfs
+    }
 
-    def group_of(name: str) -> str:
-        return "__hubs__" if name in hubs else program_of(name)
-
-    in_deg = {name: len(tdg.predecessors(name)) for name in dfs}
-    ready: Dict[str, List[str]] = {}
+    # Each group's ready nodes, as a heap of (rank, name): ranks are
+    # unique, so a heap pops them in rank order, whatever order they
+    # were pushed in.
+    in_deg = {name: len(pred[name]) for name in dfs}
+    ready: Dict[str, List[Tuple[int, str]]] = {}
     for name in dfs:
         if in_deg[name] == 0:
-            ready.setdefault(group_of(name), []).append(name)
-    for bucket in ready.values():
-        bucket.sort(key=lambda n: rank[n], reverse=True)  # pop() = min
+            heapq.heappush(
+                ready.setdefault(group[name], []), (rank[name], name)
+            )
 
     order: List[str] = []
     current: Optional[str] = None
     while ready:
         if current not in ready:
             # Jump to the group holding the earliest-ranked ready node.
-            current = min(
-                ready, key=lambda g: rank[ready[g][-1]]
-            )
-        node = ready[current].pop()
-        if not ready[current]:
+            current = min(ready, key=lambda g: ready[g][0])
+        bucket = ready[current]
+        node = heapq.heappop(bucket)[1]
+        if not bucket:
             del ready[current]
         order.append(node)
-        for succ in sorted(tdg.successors(node), key=lambda n: rank[n]):
-            in_deg[succ] -= 1
-            if in_deg[succ] == 0:
-                bucket = ready.setdefault(group_of(succ), [])
-                bucket.append(succ)
-                bucket.sort(key=lambda n: rank[n], reverse=True)
+        for nxt in succ[node]:
+            in_deg[nxt] -= 1
+            if in_deg[nxt] == 0:
+                heapq.heappush(
+                    ready.setdefault(group[nxt], []), (rank[nxt], nxt)
+                )
     return order
 
 
@@ -119,23 +128,19 @@ def _prefix_candidates(
     """Sweep all prefixes: (size, cut_bytes, prefix_demand).
 
     The cut is updated incrementally — moving node ``a`` from the
-    suffix to the prefix changes it by ``out_bytes(a) - in_bytes(a)`` —
-    so the whole sweep is ``O(|V| + |E|)``.  The final position (empty
-    suffix) is excluded.
+    suffix to the prefix changes it by ``out_bytes(a) - in_bytes(a)``
+    (integers, read straight from the adjacency) — so the whole sweep
+    is ``O(|V| + |E|)``.  The final position (empty suffix) is
+    excluded.
     """
-    out_bytes = {
-        name: sum(e.metadata_bytes for e in tdg.out_edges(name))
-        for name in topo
-    }
-    in_bytes = {
-        name: sum(e.metadata_bytes for e in tdg.in_edges(name))
-        for name in topo
-    }
+    edges, succ, pred = tdg._edges, tdg._succ, tdg._pred
     candidates: List[Tuple[int, float, float]] = []
     cut = 0.0
     demand = 0.0
     for idx, name in enumerate(topo[:-1]):
-        cut += out_bytes[name] - in_bytes[name]
+        out_bytes = sum(edges[name, s].metadata_bytes for s in succ[name])
+        in_bytes = sum(edges[p, name].metadata_bytes for p in pred[name])
+        cut += out_bytes - in_bytes
         demand += tdg.node(name).resource_demand
         candidates.append((idx + 1, cut, demand))
     return candidates
@@ -197,6 +202,9 @@ def split_tdg(
         or from an earlier segment to a later one.
     """
     segments: List[Tdg] = []
+    # The input graph is never changed: the first accepted prefix is
+    # split off into one working copy of the rest, and every later one
+    # is removed from that copy.
     remaining = tdg
     piece = 0
     while not segment_fits(remaining, reference):
@@ -214,21 +222,22 @@ def split_tdg(
             topo[:size], name=f"{tdg.name}/{piece}"
         )
         # Aggregate capacity can admit prefixes whose dependency chains
-        # exceed the stage count; shrink until a stage layout exists.
+        # exceed the stage count; shrink until a stage layout exists,
+        # dropping the prefix's last MAT each time.
         while size > 1 and not segment_fits(prefix, reference):
             size -= 1
-            prefix = remaining.subgraph(
-                topo[:size], name=f"{tdg.name}/{piece}"
-            )
+            prefix.remove_node(topo[size])
         if size == 1 and not segment_fits(prefix, reference):
             raise DeploymentError(
                 f"MAT {topo[0]!r} alone does not fit switch "
                 f"{reference.name!r}"
             )
         segments.append(prefix)
-        remaining = remaining.subgraph(
-            topo[size:], name=f"{tdg.name}/rest"
-        )
+        if remaining is tdg:
+            remaining = tdg.subgraph(topo[size:], name=f"{tdg.name}/rest")
+        else:
+            for name in topo[:size]:
+                remaining.remove_node(name)
         piece += 1
     remaining.name = f"{tdg.name}/{piece}" if segments else tdg.name
     segments.append(remaining)
@@ -530,7 +539,7 @@ class GreedyHeuristic:
                 # segments; every MAT is placed exactly once.
                 twice = next(name for name in layout if name in placements)
                 raise DeploymentError(
-                    f"MAT {twice!r} is already placed; use move()"
+                    f"MAT {twice!r} is in more than one segment"
                 )
             placements.update(layout)
         # Consecutive chain hops (Algorithm 2 lines 26-29) plus any

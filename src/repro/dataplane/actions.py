@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from repro.dataplane.fields import Field, FieldSet
@@ -81,11 +82,14 @@ class Action:
         object.__setattr__(self, "reads", tuple(self.reads))
         object.__setattr__(self, "writes", tuple(self.writes))
 
-    @property
+    # An action never changes after construction, so its field sets
+    # are built once (``cached_property`` writes the instance dict,
+    # which a frozen dataclass still has).
+    @cached_property
     def read_set(self) -> FieldSet:
         return FieldSet(self.reads)
 
-    @property
+    @cached_property
     def write_set(self) -> FieldSet:
         return FieldSet(self.writes)
 

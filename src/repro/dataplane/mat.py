@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Tuple
 
 from repro.dataplane.actions import Action
@@ -89,6 +90,10 @@ class Mat:
             kinds via the reference stage model.
         detailed_demand: Optional SRAM/TCAM/ALU breakdown; derived when
             omitted.
+
+    No value derived from these arguments (the demands, the field sets,
+    the signature) reads the name, so a copy renamed for the merged
+    namespace (:func:`repro.tdg.builder.build_tdg`) shares them.
     """
 
     def __init__(
@@ -168,22 +173,24 @@ class Mat:
         return self._detailed
 
     # A MAT never changes after construction (nothing reassigns its
-    # actions or match fields), so its field sets are computed once.
+    # actions, match fields, rules or capacity), so the values below
+    # are computed once.
     @cached_property
     def modified_fields(self) -> FieldSet:
         """``F^a``: the union of fields written by the MAT's actions."""
-        result = FieldSet()
-        for action in self.actions:
-            result = result.union(action.write_set)
-        return result
+        return FieldSet(
+            field for action in self.actions for field in action.writes
+        )
 
     @cached_property
     def read_fields(self) -> FieldSet:
         """Fields consumed either as match key or as action inputs."""
-        result = self.match_fields
-        for action in self.actions:
-            result = result.union(action.read_set)
-        return result
+        return FieldSet(
+            chain(
+                self.match_fields,
+                (field for action in self.actions for field in action.reads),
+            )
+        )
 
     def signature(self) -> Tuple:
         """A structural fingerprint for redundancy detection.
@@ -192,6 +199,10 @@ class Mat:
         (same match key, same action read/write behaviour, same rules
         and capacity) and can be deduplicated during TDG merging.
         """
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> Tuple:
         action_sig = tuple(
             sorted(
                 (a.name, a.primitive.value, a.read_set.names, a.write_set.names)

@@ -46,14 +46,14 @@ def annotate_metadata_sizes(tdg: Tdg) -> Tdg:
     """Fill in ``metadata_bytes`` on every edge of ``tdg`` (in place).
 
     Returns the same graph for chaining, mirroring the paper's
-    ``TDG_ANALYSIS(T_m)`` which returns the annotated ``T_m``.
+    ``TDG_ANALYSIS(T_m)`` which returns the annotated ``T_m``.  Only
+    the edges whose byte count changes are re-inserted; each keeps its
+    place in the edge order.
     """
     for edge in tdg.edges:
-        upstream = tdg.node(edge.upstream)
-        downstream = tdg.node(edge.downstream)
-        tdg.set_metadata_bytes(
-            edge.upstream,
-            edge.downstream,
-            edge_metadata_bytes(upstream, downstream, edge.dep_type),
+        size = edge_metadata_bytes(
+            tdg.node(edge.upstream), tdg.node(edge.downstream), edge.dep_type
         )
+        if size != edge.metadata_bytes:
+            tdg.set_metadata_bytes(edge.upstream, edge.downstream, size)
     return tdg

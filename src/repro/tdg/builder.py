@@ -12,12 +12,13 @@ detection during merging works on MAT signatures, not names.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from repro.dataplane.mat import Mat
 from repro.dataplane.program import Program
 from repro.tdg.dependencies import classify_dependency
-from repro.tdg.graph import Tdg
+from repro.tdg.graph import Tdg, TdgEdge
 
 
 def qualified_name(program_name: str, mat_name: str) -> str:
@@ -26,16 +27,16 @@ def qualified_name(program_name: str, mat_name: str) -> str:
 
 
 def _requalify(mat: Mat, new_name: str) -> Mat:
-    """A copy of ``mat`` renamed for the merged namespace."""
-    return Mat(
-        name=new_name,
-        match_fields=mat.match_fields,
-        actions=mat.actions,
-        capacity=mat.capacity,
-        rules=mat.rules,
-        resource_demand=mat.resource_demand,
-        detailed_demand=mat.detailed_demand,
-    )
+    """A copy of ``mat`` renamed for the merged namespace.
+
+    The copy shares the MAT's immutable parts and the values derived
+    from them (field sets, signature, resource demand), none of which
+    reads the name, so ``Mat.__init__``'s validation and demand
+    derivation do not run again.
+    """
+    renamed = copy.copy(mat)
+    renamed.name = new_name
+    return renamed
 
 
 def build_tdg(program: Program, name: Optional[str] = None) -> Tdg:
@@ -54,28 +55,22 @@ def build_tdg(program: Program, name: Optional[str] = None) -> Tdg:
         sizes (see :func:`repro.tdg.analysis.annotate_metadata_sizes`).
     """
     tdg = Tdg(name or program.name)
-    renamed = {
-        mat.name: _requalify(mat, qualified_name(program.name, mat.name))
+    mats = [
+        _requalify(mat, qualified_name(program.name, mat.name))
         for mat in program.mats
-    }
-    for mat in program.mats:
-        tdg.add_node(renamed[mat.name])
+    ]
+    for mat in mats:
+        tdg.add_node(mat)
 
-    mats = list(program.mats)
-    for i, upstream in enumerate(mats):
-        for downstream in mats[i + 1 :]:
+    # Every edge runs forward in program order, so none can close a
+    # cycle, and each pair is visited once: insert them unchecked.
+    for i, (source, upstream) in enumerate(zip(program.mats, mats)):
+        for target, downstream in zip(program.mats[i + 1 :], mats[i + 1 :]):
             dep = classify_dependency(
                 upstream,
                 downstream,
-                conditional=program.is_conditional(
-                    upstream.name, downstream.name
-                ),
+                conditional=program.is_conditional(source.name, target.name),
             )
-            if dep is None:
-                continue
-            tdg.add_edge(
-                renamed[upstream.name].name,
-                renamed[downstream.name].name,
-                dep,
-            )
+            if dep is not None:
+                tdg._insert_edge(TdgEdge(upstream.name, downstream.name, dep))
     return tdg

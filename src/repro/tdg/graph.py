@@ -367,29 +367,32 @@ class Tdg:
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
+    # MATs and edges are immutable, and a copy (or induced subgraph) of
+    # a DAG is acyclic, so both share this graph's MATs and edges and
+    # build their dicts in bulk, in this graph's node and edge order.
     def copy(self, name: Optional[str] = None) -> "Tdg":
         clone = Tdg(name or self.name)
-        for mat in self._nodes.values():
-            clone.add_node(mat)
-        # Edges are immutable, and a copy (or induced subgraph) of a DAG
-        # is acyclic, so both share this graph's edges unchecked.
-        for edge in self._edges.values():
-            clone._insert_edge(edge)
+        clone._nodes = dict(self._nodes)
+        clone._edges = dict(self._edges)
+        clone._succ = {n: set(s) for n, s in self._succ.items()}
+        clone._pred = {n: set(p) for n, p in self._pred.items()}
         return clone
 
     def subgraph(self, names: Iterable[str], name: str = "segment") -> "Tdg":
         """The induced subgraph on ``names`` (edges inside the set only)."""
         keep = set(names)
-        missing = keep - set(self._nodes)
+        missing = keep - self._nodes.keys()
         if missing:
             raise KeyError(f"unknown MATs in subgraph request: {sorted(missing)}")
         sub = Tdg(name)
-        for node_name in self._nodes:
-            if node_name in keep:
-                sub.add_node(self._nodes[node_name])
-        for edge in self._edges.values():
-            if edge.upstream in keep and edge.downstream in keep:
-                sub._insert_edge(edge)
+        sub._nodes = {n: m for n, m in self._nodes.items() if n in keep}
+        sub._edges = {
+            key: edge
+            for key, edge in self._edges.items()
+            if key[0] in keep and key[1] in keep
+        }
+        sub._succ = {n: self._succ[n] & keep for n in sub._nodes}
+        sub._pred = {n: self._pred[n] & keep for n in sub._nodes}
         return sub
 
     def cut_bytes(self, left: Iterable[str], right: Iterable[str]) -> int:

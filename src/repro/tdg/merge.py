@@ -124,11 +124,14 @@ def merge_tdgs(tdgs: Sequence[Tdg], name: str = "merged") -> Tdg:
         name: Name of the resulting merged graph.
 
     Returns:
-        The merged TDG ``T_m``.
+        The merged TDG ``T_m``: a new graph, even for one input, which
+        is returned as a renamed copy; no input is changed.
     """
     pool: List[Tdg] = list(tdgs)
     if not pool:
         raise ValueError("merge_tdgs needs at least one TDG")
+    if len(pool) == 1:
+        pool[0] = pool[0].copy()
     while len(pool) > 1:
         t1 = pool.pop(0)
         t2 = pool.pop(0)

@@ -119,20 +119,23 @@ def synthetic_program(
             if rng.random() < config.shared_attach_probability:
                 consumes_shared.setdefault(i, []).append(out_field)
 
-    # Decide the dependency structure first: ordered pairs (i, j), i<j.
-    dep_fields: Dict[Tuple[int, int], Field] = {}
+    # Decide the dependency structure first: ordered pairs (i, j), i<j,
+    # each listed, in the order drawn, as a write of MAT i and a read
+    # of MAT j.
+    writes_of: List[List[Field]] = [[] for _ in range(num_mats)]
+    reads_of: List[List[Field]] = [[] for _ in range(num_mats)]
     for i in range(num_mats):
         for j in range(i + 1, num_mats):
             if rng.random() < config.dependency_probability:
                 size_bytes = rng.choice(sizes)
-                dep_fields[(i, j)] = metadata_field(
+                dep_field = metadata_field(
                     f"{name}.m{i}_to_m{j}", size_bytes * 8
                 )
+                writes_of[i].append(dep_field)
+                reads_of[j].append(dep_field)
 
     mats: List[Mat] = [mat for mat, _field in shared]
-    for i in range(num_mats):
-        writes = [f for (src, _dst), f in dep_fields.items() if src == i]
-        reads = [f for (_src, dst), f in dep_fields.items() if dst == i]
+    for i, (writes, reads) in enumerate(zip(writes_of, reads_of)):
         match_fields: List[Field] = list(reads)
         match_fields.extend(consumes_shared.get(i, []))
         # Every MAT also matches a random header field, like real tables.

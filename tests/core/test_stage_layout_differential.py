@@ -369,10 +369,17 @@ def test_overlapping_segments_fail_alike(layouts):
         tdg.subgraph(["m1", "m2", "m3"], name="chain/1"),
     ]
     network = _network([Switch("a"), Switch("b")], [("a", "b")])
-    outcome = assert_placements_agree(
-        layouts, tdg, network, segments, ["a", "b"]
-    )
-    assert outcome[0] is DeploymentError
+    args = (tdg, network, segments, ["a", "b"])
+    # Both fail after the same layouts with the same type; production
+    # says what went wrong, the builder oracle keeps its own text.
+    layouts.clear()
+    new = _plan_outcome(_production_place, *args)
+    new_layouts = list(layouts)
+    layouts.clear()
+    old = _plan_outcome(legacy_place, *args)
+    assert new_layouts == layouts == ["chain/0", "chain/1"]
+    assert new[0] is old[0] is DeploymentError
+    assert new[1] == "MAT 'm1' is in more than one segment"
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,19 @@ class TestMergeTdgs:
         assert merged.name == "T_m"
         assert len(merged) == len(tdg)
 
+    def test_single_graph_is_copied_not_renamed(self, sketch_program):
+        """One input comes back as a renamed copy; the caller's graph
+        keeps its name, nodes and edges."""
+        tdg = build_tdg(sketch_program)
+        nodes, edges = tdg.node_names, tdg.edges
+        merged = merge_tdgs([tdg], name="T_m")
+        assert merged is not tdg
+        assert tdg.name == sketch_program.name
+        assert (tdg.node_names, tdg.edges) == (nodes, edges)
+        assert (merged.node_names, merged.edges) == (nodes, edges)
+        merged.remove_node(nodes[0])
+        assert tdg.node_names == nodes
+
     def test_merges_many(self, six_programs):
         tdgs = [build_tdg(p) for p in six_programs]
         merged = merge_tdgs(tdgs)
