@@ -14,12 +14,16 @@ switches.  This module materializes that coordination:
 What an edge ships depends only on the TDG, so each edge's field set
 is memoized on the graph (:meth:`~repro.tdg.graph.Tdg.memoized`) the
 first time a channel needs it; every plan of that graph reuses it, and
-only the grouping of edges into channels is per plan.
+only the grouping of edges into channels is per plan.  That grouping
+reads only the placements, so it is memoized on the plan
+(:meth:`~repro.plan.artifact.DeploymentPlan.memoized`): the dataflow
+verifier, the deploy document, the backend and the interpreter of one
+plan, and of its ``with_routing`` siblings, share one channel build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.dataplane.fields import Field, FieldSet
@@ -86,68 +90,86 @@ def _shipped_fields(tdg: Tdg) -> Dict[Tuple[str, str], FieldSet]:
     return {}
 
 
+def plan_channels(
+    plan: DeploymentPlan,
+) -> Dict[Tuple[str, str], MetadataChannel]:
+    """Every coordination channel of ``plan``, by ordered switch pair.
+
+    It reads only the plan's TDG and placements and holds no reference
+    to the plan, so it is what :meth:`DeploymentPlan.memoized` keeps:
+    ``plan.memoized(plan_channels)`` builds the channels once per plan
+    and its ``with_routing`` siblings.  That value is shared; treat it
+    as read-only (:class:`CoordinationAnalysis` hands out copies).
+    """
+    tdg = plan.tdg
+    edges = tdg.edges
+    hosts = {name: p.switch for name, p in plan.placements.items()}
+    grouped: Dict[Tuple[str, str], List[TdgEdge]] = {}
+    try:
+        for edge in edges:
+            u = hosts[edge.upstream]
+            v = hosts[edge.downstream]
+            if u == v or edge.metadata_bytes == 0:
+                continue
+            grouped.setdefault((u, v), []).append(edge)
+    except KeyError:
+        # Let the plan name the first unplaced endpoint.
+        for edge in edges:
+            plan.switch_of(edge.upstream)
+            plan.switch_of(edge.downstream)
+        raise
+
+    shipped = tdg.memoized(_shipped_fields)
+
+    def fields_of(edge: TdgEdge) -> FieldSet:
+        fields = shipped.get(edge.key)
+        if fields is None:
+            fields = shipped[edge.key] = edge_metadata_fields(
+                tdg.node(edge.upstream),
+                tdg.node(edge.downstream),
+                edge.dep_type,
+            )
+        return fields
+
+    channels: Dict[Tuple[str, str], MetadataChannel] = {}
+    for (u, v), pair_edges in grouped.items():
+        # One FieldSet over the edges' fields in edge order keeps
+        # each name's first definition and raises on a conflicting
+        # one, as a chain of pairwise unions would; the generator
+        # derives an edge only after the earlier ones passed.
+        fields = FieldSet(
+            field for edge in pair_edges for field in fields_of(edge)
+        )
+        declared = sum(edge.metadata_bytes for edge in pair_edges)
+        layout: List[Tuple[Field, int]] = []
+        offset = 0
+        for field in sorted(fields, key=lambda f: f.name):
+            layout.append((field, offset))
+            offset += field.size_bytes
+        channels[(u, v)] = MetadataChannel(
+            source=u,
+            destination=v,
+            edges=pair_edges,
+            declared_bytes=declared,
+            layout=layout,
+            layout_bytes=offset,
+        )
+    return channels
+
+
 class CoordinationAnalysis:
-    """Derives all coordination channels of a deployment plan."""
+    """Derives all coordination channels of a deployment plan.
+
+    The channels are built once per plan (:func:`plan_channels`); each
+    analysis holds its own copies, so editing one changes no other.
+    """
 
     def __init__(self, plan: DeploymentPlan) -> None:
         self.plan = plan
-        self.channels: Dict[Tuple[str, str], MetadataChannel] = {}
-        self._build()
-
-    def _build(self) -> None:
-        plan = self.plan
-        tdg = plan.tdg
-        edges = tdg.edges
-        hosts = {name: p.switch for name, p in plan.placements.items()}
-        grouped: Dict[Tuple[str, str], List[TdgEdge]] = {}
-        try:
-            for edge in edges:
-                u = hosts[edge.upstream]
-                v = hosts[edge.downstream]
-                if u == v or edge.metadata_bytes == 0:
-                    continue
-                grouped.setdefault((u, v), []).append(edge)
-        except KeyError:
-            # Let the plan name the first unplaced endpoint.
-            for edge in edges:
-                plan.switch_of(edge.upstream)
-                plan.switch_of(edge.downstream)
-            raise
-
-        shipped = tdg.memoized(_shipped_fields)
-
-        def fields_of(edge: TdgEdge) -> FieldSet:
-            fields = shipped.get(edge.key)
-            if fields is None:
-                fields = shipped[edge.key] = edge_metadata_fields(
-                    tdg.node(edge.upstream),
-                    tdg.node(edge.downstream),
-                    edge.dep_type,
-                )
-            return fields
-
-        for (u, v), pair_edges in grouped.items():
-            # One FieldSet over the edges' fields in edge order keeps
-            # each name's first definition and raises on a conflicting
-            # one, as a chain of pairwise unions would; the generator
-            # derives an edge only after the earlier ones passed.
-            fields = FieldSet(
-                field for edge in pair_edges for field in fields_of(edge)
-            )
-            declared = sum(edge.metadata_bytes for edge in pair_edges)
-            layout: List[Tuple[Field, int]] = []
-            offset = 0
-            for field in sorted(fields, key=lambda f: f.name):
-                layout.append((field, offset))
-                offset += field.size_bytes
-            self.channels[(u, v)] = MetadataChannel(
-                source=u,
-                destination=v,
-                edges=pair_edges,
-                declared_bytes=declared,
-                layout=layout,
-                layout_bytes=offset,
-            )
+        self.channels: Dict[Tuple[str, str], MetadataChannel] = {
+            pair: replace(c, edges=list(c.edges), layout=list(c.layout))
+            for pair, c in plan.memoized(plan_channels).items()
+        }
 
     # ------------------------------------------------------------------
     # Summary metrics

@@ -11,16 +11,23 @@ Implementation notes:
 
 * The prefix sweep is computed incrementally (moving node ``a`` from
   the right side to the left changes the cut by ``out_bytes(a) -
-  in_bytes(a)``), so choosing one split position costs
+  in_bytes(a)``), so choosing one split position costs at most
   ``O((|V| + |E|) log |V|)`` on the graph still to split, Theorem 2's
   bound: the order (a DFS and a heap per program group) is the log
   factor, the sweep is linear.
+* Only prefixes one switch can hold can be chosen, and demand only
+  grows along the order, so each round walks and sweeps up to the
+  first prefix whose demand exceeds the reference switch's capacity
+  and no further: ``O(|P| log |V|)`` for a prefix of ``|P|`` nodes and
+  their edges.  The DFS ranking and the hub detection that the walk
+  starts from still cover the whole rest graph, ``O(|V| + |E|)`` per
+  round.
 * Each round also induces the chosen prefix once (``O(|V| + |E|)``),
   lays it out once per MAT it has to give up (each shrink drops the
   last MAT with ``remove_node``, ``O(deg)``), and removes the accepted
   prefix from the one working copy of the rest (its incident edges).
   A split into ``k`` segments therefore costs
-  ``O(k (|V| + |E|) log |V|)`` plus the stage layouts of its
+  ``O(k (|V| + |E|) + |V| log |V|)`` plus the stage layouts of its
   feasibility tests: one of the rest per round and one of the prefix
   per size tried.
 * Segment feasibility uses the exact stage scheduler
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages, segment_fits
 from repro.network.paths import PathEnumerator
@@ -70,6 +77,17 @@ def split_order(tdg: Tdg) -> List[str]:
     topological, and program boundaries reappear as cheap split
     positions even in hub-connected merged TDGs.
     """
+    return list(_split_walk(tdg))
+
+
+def _split_walk(tdg: Tdg) -> Iterator[str]:
+    """:func:`split_order`, one node at a time.
+
+    The DFS ranking and the hub detection cover the whole graph before
+    the first node is yielded; the walk itself runs only as far as its
+    reader goes, which lets :func:`split_tdg` stop at the first prefix
+    no switch can hold.
+    """
     dfs = tdg.topological_order(strategy="dfs")
     rank = {name: i for i, name in enumerate(dfs)}
     program = {name: name.split(".", 1)[0] for name in dfs}
@@ -102,7 +120,6 @@ def split_order(tdg: Tdg) -> List[str]:
                 ready.setdefault(group[name], []), (rank[name], name)
             )
 
-    order: List[str] = []
     current: Optional[str] = None
     while ready:
         if current not in ready:
@@ -112,38 +129,52 @@ def split_order(tdg: Tdg) -> List[str]:
         node = heapq.heappop(bucket)[1]
         if not bucket:
             del ready[current]
-        order.append(node)
+        yield node
         for nxt in succ[node]:
             in_deg[nxt] -= 1
             if in_deg[nxt] == 0:
                 heapq.heappush(
                     ready.setdefault(group[nxt], []), (rank[nxt], nxt)
                 )
-    return order
 
 
 def _prefix_candidates(
-    tdg: Tdg, topo: List[str]
-) -> List[Tuple[int, float, float]]:
-    """Sweep all prefixes: (size, cut_bytes, prefix_demand).
+    tdg: Tdg, order: Iterable[str], capacity: float = math.inf
+) -> Tuple[List[str], List[Tuple[int, float, float]]]:
+    """Sweep the prefixes of ``order`` a switch of ``capacity`` can hold.
 
-    The cut is updated incrementally — moving node ``a`` from the
-    suffix to the prefix changes it by ``out_bytes(a) - in_bytes(a)``
-    (integers, read straight from the adjacency) — so the whole sweep
-    is ``O(|V| + |E|)``.  The final position (empty suffix) is
-    excluded.
+    Returns the names read from ``order`` and, per prefix,
+    ``(size, cut_bytes, prefix_demand)``.  The cut is updated
+    incrementally — moving node ``a`` from the suffix to the prefix
+    changes it by ``out_bytes(a) - in_bytes(a)`` (integers, read
+    straight from the adjacency) — so the sweep is linear in what it
+    reads.  The final position (empty suffix) is excluded.
+
+    ``order`` is read lazily, and the sweep stops after the first
+    prefix whose demand exceeds ``capacity``.  Demands are positive
+    (``Mat`` floors them at 0.01), so every longer prefix exceeds it
+    too, and :func:`_choose_prefix_size` picks none of them; that
+    first one is kept, as the position it falls back to when no prefix
+    fits.
     """
     edges, succ, pred = tdg._edges, tdg._succ, tdg._pred
+    last = len(tdg)
+    names: List[str] = []
     candidates: List[Tuple[int, float, float]] = []
     cut = 0.0
     demand = 0.0
-    for idx, name in enumerate(topo[:-1]):
+    for name in order:
+        names.append(name)
+        if len(names) == last:
+            break
         out_bytes = sum(edges[name, s].metadata_bytes for s in succ[name])
         in_bytes = sum(edges[p, name].metadata_bytes for p in pred[name])
         cut += out_bytes - in_bytes
         demand += tdg.node(name).resource_demand
-        candidates.append((idx + 1, cut, demand))
-    return candidates
+        candidates.append((len(names), cut, demand))
+        if demand > capacity:
+            break
+    return names, candidates
 
 
 def _choose_prefix_size(
@@ -207,17 +238,17 @@ def split_tdg(
     # is removed from that copy.
     remaining = tdg
     piece = 0
+    capacity = reference.total_capacity
     while not segment_fits(remaining, reference):
-        topo = split_order(remaining)
-        if len(topo) < 2:
+        if len(remaining) < 2:
             raise DeploymentError(
-                f"MAT {topo[0]!r} alone does not fit switch "
-                f"{reference.name!r}"
+                f"MAT {remaining.node_names[0]!r} alone does not fit "
+                f"switch {reference.name!r}"
             )
-        candidates = _prefix_candidates(remaining, topo)
-        size = _choose_prefix_size(
-            candidates, reference.total_capacity, fill_floor
+        topo, candidates = _prefix_candidates(
+            remaining, _split_walk(remaining), capacity
         )
+        size = _choose_prefix_size(candidates, capacity, fill_floor)
         prefix = remaining.subgraph(
             topo[:size], name=f"{tdg.name}/{piece}"
         )
@@ -234,7 +265,11 @@ def split_tdg(
             )
         segments.append(prefix)
         if remaining is tdg:
-            remaining = tdg.subgraph(topo[size:], name=f"{tdg.name}/rest")
+            # Tdg.subgraph keeps the source's node and edge order.
+            remaining = tdg.subgraph(
+                set(tdg.node_names).difference(topo[:size]),
+                name=f"{tdg.name}/rest",
+            )
         else:
             for name in topo[:size]:
                 remaining.remove_node(name)

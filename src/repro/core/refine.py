@@ -34,11 +34,17 @@ looked up before anything is placed: only switches whose MAT set this
 call has not seen before (normally the two the move touches) are laid
 out, and a layout that does not fit rejects the candidate at once.  A
 feasible candidate is put together from the memoized placement
-records and routed from the path enumerator's cached shortest-path
-trees.  ``validate()`` and the dataflow verifier still run in full on
-it; the verifier reads tables memoized on the TDG, so the candidates of
-one call derive them once.  The rebuild-per-candidate search survives
-only as the tests' oracle.
+records, without routing, and the dataflow verifier runs on it first:
+it reads only the TDG and the placements, and most candidates that
+pass the layouts fail it (a move that strands metadata behind a
+recirculation).  Only a verified candidate is routed from the path
+enumerator's cached shortest-path trees and validated in full, so the
+check order changes which check rejects a candidate, never whether it
+is rejected (see :func:`_rebuild`).  The verifier reads tables memoized
+on the TDG, so the candidates of one call derive them once, and its
+report is memoized on the candidate, so verifying the refined plan
+again costs nothing.  The rebuild-per-candidate search survives only
+as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -71,13 +77,30 @@ def _rebuild(
     """A full plan from a MAT->switch mapping, or None if infeasible.
 
     ``layouts`` carries stage layouts across calls on one TDG and
-    network; without it every switch is laid out afresh.  Every
-    switch's layout is looked up before anything is placed, so an
-    infeasible one rejects the mapping at once.  A feasible mapping is
-    assembled from the memoized placement records, switch by switch in
-    first-use order, and routed by
-    :func:`~repro.plan.artifact.first_meet_routing`.  ``validate()``
-    and the dataflow verifier then run in full.
+    network; without it every switch is laid out afresh.  The checks
+    run cheapest-reject first:
+
+    1. every switch's layout is looked up before anything is placed,
+       so an infeasible one rejects the mapping at once;
+    2. a feasible mapping is assembled from the memoized placement
+       records, switch by switch in first-use order, into a plan
+       without routing;
+    3. the dataflow verifier runs on that plan;
+    4. only a verified plan is routed by
+       :func:`~repro.plan.artifact.first_meet_routing`, and its
+       ``with_routing`` sibling is validated in full.
+
+    The order is exact.  The verifier reads only the TDG and the
+    placements (channels from the hosts, the visit order from the pair
+    bytes and the occupied switches), never the routing or the
+    network, so it rejects the same candidates before routing as
+    after.  The routed sibling inherits the verifier's memo but not a
+    validation record, so ``validate()`` checks it as it checked the
+    directly built plan.  An error other than
+    :class:`~repro.core.verification.DataflowError` from the verifier
+    (a field defined two ways on one channel raises ``ValueError``)
+    escapes only if routing and ``validate()`` pass, as when they ran
+    first.
     """
     layouts = {} if layouts is None else layouts
     by_switch: Dict[str, List[str]] = {}
@@ -99,25 +122,41 @@ def _rebuild(
             return None
         placements.update(layout)
 
-    try:
-        routing = first_meet_routing(plan.tdg, placements, paths)
-        candidate = DeploymentPlan(
-            plan.tdg, plan.network, placements, routing
-        )
-        candidate.validate()
-    except DeploymentError:
-        return None
     # Structural validity is not enough: a move can strand metadata
     # behind a recirculation (produced on a switch's first visit,
-    # needed on its second — the PHV does not survive the loop).  Only
-    # accept candidates the dataflow verifier can actually execute.
+    # needed on its second — the PHV does not survive the loop).  The
+    # verifier needs no routing, so such a move is rejected unrouted.
     from repro.core.verification import DataflowError, verify_dataflow
 
+    candidate = DeploymentPlan(plan.tdg, plan.network, placements)
     try:
         verify_dataflow(candidate)
     except DataflowError:
         return None
-    return candidate
+    except Exception:
+        # Routing and validate() ran before the verifier once: a
+        # candidate they reject is rejected whatever the verifier
+        # raised, and only a valid one lets the error through.
+        if _routed(candidate, paths) is None:
+            return None
+        raise
+    return _routed(candidate, paths)
+
+
+def _routed(
+    candidate: DeploymentPlan, paths: PathEnumerator
+) -> Optional[DeploymentPlan]:
+    """``candidate`` routed by
+    :func:`~repro.plan.artifact.first_meet_routing` and validated, or
+    None if either fails."""
+    try:
+        routed = candidate.with_routing(
+            first_meet_routing(candidate.tdg, candidate.placements, paths)
+        )
+        routed.validate()
+    except DeploymentError:
+        return None
+    return routed
 
 
 def _moved_amax(

@@ -23,9 +23,19 @@ recirculations through part of the network.
 What a MAT needs and produces does not depend on where it is placed,
 so those tables are derived once per TDG and memoized on it
 (:meth:`~repro.tdg.graph.Tdg.memoized`); a call only groups the plan's
-MATs by switch and reads the channels of
-:class:`~repro.core.coordination.CoordinationAnalysis`.  Refinement
-verifies many candidate plans of one TDG and pays for the tables once.
+MATs by switch and reads the plan's channels
+(:func:`~repro.core.coordination.plan_channels`).  Refinement verifies
+many candidate plans of one TDG and pays for the tables once.
+
+The verifier reads nothing of a plan but its TDG and placements: the
+channels come from the hosts, and the visit order from the pair bytes
+and the occupied switches.  Routing and the network never enter, so a
+plan can be verified before it is routed, and both the channels and
+the report are memoized on the plan
+(:meth:`~repro.plan.artifact.DeploymentPlan.memoized`) and shared with
+its ``with_routing`` siblings.  Each call returns a report with
+containers of its own; a failed verification is not stored and raises
+the same error on every call.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.core.coordination import CoordinationAnalysis
+from repro.core.coordination import plan_channels
 from repro.plan.artifact import DeploymentPlan, MatPlacement
 from repro.tdg.graph import Tdg
 
@@ -144,13 +154,29 @@ def _hosted(plan: DeploymentPlan) -> Dict[str, List[str]]:
 def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
     """Symbolically execute the plan; raise if any input is undeliverable.
 
+    The execution runs once per plan (and its ``with_routing``
+    siblings); every call returns a fresh copy of its report.
+
     Raises:
         DataflowError: If the execution reaches a fixpoint with MATs
             whose inputs can never arrive (missing channel or missing
             producer), or if a channel ships fields its source cannot
             produce.
     """
-    coordination = CoordinationAnalysis(plan)
+    report = plan.memoized(_verified)
+    return DataflowReport(
+        rounds=report.rounds,
+        reads_checked=report.reads_checked,
+        shipped_fields={
+            pair: list(names) for pair, names in report.shipped_fields.items()
+        },
+        execution_order=list(report.execution_order),
+    )
+
+
+def _verified(plan: DeploymentPlan) -> DataflowReport:
+    """The report :func:`verify_dataflow` memoizes; never handed out."""
+    channels = plan.memoized(plan_channels)
     predecessors, reads, produced_by = plan.tdg.memoized(_dataflow_tables)
     occupied = _visit_order(plan)
     placements = plan.placements
@@ -161,7 +187,7 @@ def verify_dataflow(plan: DeploymentPlan) -> DataflowReport:
 
     channel_fields: Dict[Tuple[str, str], Set[str]] = {
         pair: {f.name for f, _off in channel.layout}
-        for pair, channel in coordination.channels.items()
+        for pair, channel in channels.items()
     }
     # Channels by source switch: (destination, fields shipped).
     outgoing: Dict[str, List[Tuple[str, Set[str]]]] = {}

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
 from repro.tdg.graph import Tdg
+
+
+T = TypeVar("T")
 
 
 class DeploymentError(ValueError):
@@ -67,8 +70,9 @@ class MatPlacement:
 
 
 #: The lazy metric caches that depend only on the TDG and the
-#: placements, never on the network or the routing, and the record that
-#: the placements passed :meth:`DeploymentPlan.validate`'s coverage and
+#: placements, never on the network or the routing, the values
+#: :meth:`DeploymentPlan.memoized` keeps, and the record that the
+#: placements passed :meth:`DeploymentPlan.validate`'s coverage and
 #: intra-switch order checks, which read nothing else either.
 _PLACEMENT_CACHES = (
     "_pair_bytes_cache",
@@ -76,6 +80,7 @@ _PLACEMENT_CACHES = (
     "_total_bytes_cache",
     "_occupied_cache",
     "_stage_util_cache",
+    "_memo",
     "_placements_checked",
 )
 
@@ -85,6 +90,13 @@ _CACHE_SLOTS = frozenset(_PLACEMENT_CACHES + ("_e2e_cache",))
 
 class DeploymentPlan:
     """A complete, immutable network-wide deployment.
+
+    Every derived value is computed once per plan, and what depends only
+    on the TDG and the placements is shared with the plan's
+    :meth:`with_routing` siblings.  Analyses that read nothing else keep
+    their results in :meth:`memoized`.  All of this assumes, as the plan
+    itself does, that the TDG is not mutated after a plan is built on
+    it; pickling a plan keeps none of it.
 
     Args:
         tdg: The merged, metadata-annotated TDG that was deployed.
@@ -116,6 +128,7 @@ class DeploymentPlan:
         object.__setattr__(self, "_occupied_cache", None)
         object.__setattr__(self, "_e2e_cache", None)
         object.__setattr__(self, "_stage_util_cache", {})
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_placements_checked", False)
 
     # ------------------------------------------------------------------
@@ -172,11 +185,12 @@ class DeploymentPlan:
 
         The sibling shares what depends only on the TDG and the
         placements: pair bytes, ``A_max``, total bytes, occupied
-        switches, per-switch stage loads, and whether this plan passed
-        :meth:`validate`, whose coverage and intra-switch order checks
-        the sibling then skips.  Routing-derived values (``t_e2e``) are
-        computed afresh, and hosts, stage capacity and routing are
-        always checked against the sibling's own network.
+        switches, per-switch stage loads, the :meth:`memoized` values,
+        and whether this plan passed :meth:`validate`, whose coverage
+        and intra-switch order checks the sibling then skips.
+        Routing-derived values (``t_e2e``) are computed afresh, and
+        hosts, stage capacity and routing are always checked against
+        the sibling's own network.
         """
         plan = DeploymentPlan(
             self._tdg,
@@ -185,10 +199,29 @@ class DeploymentPlan:
             routing,
         )
         # Placement-derived caches are identical by construction; the
-        # stage loads are one dict that either plan may fill first.
+        # stage loads and the memo are dicts that either plan may fill
+        # first.
         for slot in _PLACEMENT_CACHES:
             object.__setattr__(plan, slot, getattr(self, slot))
         return plan
+
+    def memoized(self, derive: Callable[["DeploymentPlan"], T]) -> T:
+        """``derive(self)``, computed once per plan.
+
+        ``derive`` must read nothing of the plan but its TDG and
+        placements, since the value is shared with every
+        :meth:`with_routing` sibling, and it must return nothing that
+        refers to the plan, so a plan never keeps itself alive through
+        its own memo.  A ``derive`` that raises stores nothing and runs
+        again on the next call.  Callers hand out copies of mutable
+        values, so no caller can change what another receives.
+        """
+        try:
+            return self._memo[derive]
+        except KeyError:
+            pass
+        value = self._memo[derive] = derive(self)
+        return value
 
     # ------------------------------------------------------------------
     # Accessors

@@ -10,9 +10,13 @@ the new code to them.
 
 * A random walk of single-MAT moves, feasible and infeasible, compares
   ``_rebuild`` (sharing one layout memo, as ``refine_plan`` does) with
-  the builder-based rebuild: both reject, or both give the same
+  the builder-based rebuild: both reject, both give the same
   placements and routing in the same order, the same occupied switches,
-  fingerprint and verifier report.
+  fingerprint and verifier report, or both raise the same exception.
+  ``_rebuild`` verifies before it routes and validates, so the walks
+  include a network with a switch no path reaches and two programs
+  that define one metadata field with different widths, where the
+  verifier raises ``ValueError``.
 * Plans from every framework, every verified refine candidate of the
   Exp#5 shape (rejected ones included) and the rebased and spliced
   plans of a churn run compare the verifier's report, or the exception
@@ -37,13 +41,14 @@ from repro.core.analyzer import ProgramAnalyzer
 from repro.core.coordination import CoordinationAnalysis
 from repro.core.heuristic import GreedyHeuristic
 from repro.core.refine import _rebuild
-from repro.core.verification import verify_dataflow
+from repro.core.verification import DataflowError, verify_dataflow
 from repro.dataplane.actions import modify, no_op
 from repro.dataplane.fields import metadata_field
 from repro.dataplane.mat import Mat
 from repro.network.catalog import resolve
 from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import PathEnumerator
+from repro.network.switch import Switch
 from repro.plan import plan_fingerprint
 from repro.plan.artifact import DeploymentPlan, MatPlacement
 from repro.tdg.dependencies import DependencyType
@@ -102,6 +107,92 @@ def assert_verifiers_agree(plan):
 # ----------------------------------------------------------------------
 # _rebuild vs the builder-based rebuild
 # ----------------------------------------------------------------------
+def _rebuilt(rebuild, *args):
+    """What ``rebuild(*args)`` gave, in comparable parts: None, the
+    plan's placements and routing in order, occupied switches,
+    fingerprint and verifier report, or the raised type and message."""
+    try:
+        plan = rebuild(*args)
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+    if plan is None:
+        return None
+    return (
+        list(plan.placements.items()),
+        list(plan.routing.items()),
+        plan.occupied_switches(),
+        plan_fingerprint(plan),
+        _report(verify_dataflow, plan),
+    )
+
+
+def _why_rejected(plan, trial, paths, layouts):
+    """Why both rebuilds reject a host map: a switch's layout, no path
+    between two communicating switches, or another check.  Without a
+    path, it also says whether the verifier passes the unrouted
+    candidate (routing now rejects it) or raises something other than
+    a ``DataflowError`` (routing now swallows it)."""
+    by_switch = {}
+    for name, switch in trial.items():
+        by_switch.setdefault(switch, []).append(name)
+    placements = {}
+    for switch, names in by_switch.items():
+        layout = layouts[(switch, frozenset(names))]
+        if layout is None:
+            return "does not fit"
+        placements.update(layout)
+    unrouted = DeploymentPlan(plan.tdg, plan.network, placements)
+    routable = all(
+        paths.shortest(*pair) is not None
+        for pair in unrouted.pair_metadata_bytes()
+    )
+    if routable:
+        return "rejected"
+    verdict = _outcome(verify_dataflow, unrouted)
+    if not isinstance(verdict, tuple):
+        return "no path, verified"
+    if verdict[0] is not DataflowError:
+        return "no path, verifier raised"
+    return "no path"
+
+
+def walk_rebuilds_alike(plan, steps=200, seed=5):
+    """``steps`` single-MAT moves, each to an occupied switch or any
+    programmable one, rebuilt by ``_rebuild`` (sharing one layout memo,
+    as ``refine_plan`` does) and by the builder-based rebuild; an
+    accepted move becomes the walk's next state.  Returns the kinds of
+    outcome seen."""
+    network = plan.network
+    paths = PathEnumerator(network)
+    layouts = {}
+    rng = random.Random(seed)
+    hosts = {name: p.switch for name, p in plan.placements.items()}
+    programmable = [s.name for s in network.switches if s.programmable]
+    outcomes = set()
+    for _ in range(steps):
+        trial = dict(hosts)
+        occupied = sorted(set(hosts.values()))
+        trial[rng.choice(sorted(trial))] = rng.choice(
+            occupied if rng.random() < 0.5 else programmable
+        )
+        outcome = rebuild_alike(plan, trial, paths, layouts)
+        outcomes.add(outcome)
+        if outcome == "accepted":
+            hosts = trial
+    return outcomes
+
+
+def rebuild_alike(plan, trial, paths, layouts):
+    """Rebuild ``trial`` both ways, require the same outcome, and name
+    its kind: ``"accepted"``, ``"raised"`` or why it was rejected."""
+    fast = _rebuilt(_rebuild, plan, trial, paths, layouts)
+    legacy = _rebuilt(legacy_rebuild, plan, trial, paths)
+    assert fast == legacy
+    if fast is None:
+        return _why_rejected(plan, trial, paths, layouts)
+    return "raised" if isinstance(fast[0], type) else "accepted"
+
+
 WALKS = [
     pytest.param(
         lambda: (
@@ -122,48 +213,78 @@ WALKS = [
 
 @pytest.mark.parametrize("make", WALKS)
 def test_rebuild_matches_builder_rebuild_on_a_random_walk(make):
-    """200 single-MAT moves, each to an occupied switch or any
-    programmable one; an accepted move becomes the walk's next state."""
     programs, network = make()
     tdg = ProgramAnalyzer().analyze(programs)
     plan = GreedyHeuristic(refine=False).deploy(tdg, network)
-    paths = PathEnumerator(network)
-    layouts = {}
-    rng = random.Random(5)
-    hosts = {name: p.switch for name, p in plan.placements.items()}
-    programmable = [s.name for s in network.switches if s.programmable]
-    outcomes = set()
-    for _ in range(200):
-        trial = dict(hosts)
-        occupied = sorted(set(hosts.values()))
-        trial[rng.choice(sorted(trial))] = rng.choice(
-            occupied if rng.random() < 0.5 else programmable
-        )
-        fast = _rebuild(plan, trial, paths, layouts)
-        legacy = legacy_rebuild(plan, trial, paths)
-        if fast is None or legacy is None:
-            assert fast is None and legacy is None
-            by_switch = {}
-            for name, switch in trial.items():
-                by_switch.setdefault(switch, set()).add(name)
-            fits = all(
-                layouts[(switch, frozenset(names))] is not None
-                for switch, names in by_switch.items()
+    assert walk_rebuilds_alike(plan) == {
+        "accepted",
+        "rejected",
+        "does not fit",
+    }
+
+
+def _with_island(network):
+    """``network`` plus a programmable switch no link reaches."""
+    network.add_switch(Switch("island", num_stages=4, stage_capacity=1.0))
+    return network
+
+
+def test_rebuild_matches_builder_rebuild_without_a_path():
+    """A switch no path reaches: a move onto it that the verifier
+    passes is rejected by routing, which now runs after the verifier."""
+    network = _with_island(
+        linear_topology(6, num_stages=4, stage_capacity=1.0)
+    )
+    tdg = ProgramAnalyzer().analyze(real_programs(6))
+    plan = GreedyHeuristic(refine=False).deploy(tdg, network)
+    outcomes = walk_rebuilds_alike(plan, steps=300)
+    assert {"accepted", "no path, verified"} <= outcomes
+
+
+def _conflicting_tdg():
+    """Two programs that define metadata field ``m.x`` with different
+    widths: a channel that ships both definitions makes the verifier
+    raise ``ValueError``."""
+    tdg = Tdg("conflict")
+    for program, width in (("p", 32), ("q", 16)):
+        field = metadata_field("m.x", width)
+        writer, reader = f"{program}.write", f"{program}.read"
+        tdg.add_node(Mat(writer, actions=[modify(field)], resource_demand=0.3))
+        tdg.add_node(
+            Mat(
+                reader,
+                match_fields=[field],
+                actions=[no_op()],
+                resource_demand=0.3,
             )
-            outcomes.add("rejected" if fits else "does not fit")
-            continue
-        outcomes.add("accepted")
-        assert list(fast.placements.items()) == list(
-            legacy.placements.items()
         )
-        assert list(fast.routing.items()) == list(legacy.routing.items())
-        assert fast.occupied_switches() == legacy.occupied_switches()
-        assert plan_fingerprint(fast) == plan_fingerprint(legacy)
-        assert _report(verify_dataflow, fast) == _report(
-            legacy_verify_dataflow, legacy
-        )
-        hosts = trial
-    assert outcomes == {"accepted", "rejected", "does not fit"}
+        tdg.add_edge(writer, reader, DependencyType.MATCH, width // 8)
+    return tdg
+
+
+def test_rebuild_matches_builder_rebuild_on_conflicting_fields():
+    """The verifier's ``ValueError`` escapes a candidate that routing
+    and ``validate()`` accept, as it did when they ran first, and a
+    candidate they reject is rejected whatever the verifier raises."""
+    network = _with_island(
+        linear_topology(3, num_stages=4, stage_capacity=1.0)
+    )
+    plan = GreedyHeuristic(refine=False).deploy(_conflicting_tdg(), network)
+    assert {"accepted", "raised"} <= walk_rebuilds_alike(plan, steps=300)
+    # Both writers on s0 and both readers on one switch: the channel
+    # ships both definitions of m.x.
+    paths = PathEnumerator(network)
+    for readers, kind in (
+        ("s1", "raised"),
+        ("island", "no path, verifier raised"),
+    ):
+        trial = {
+            "p.write": "s0",
+            "q.write": "s0",
+            "p.read": readers,
+            "q.read": readers,
+        }
+        assert rebuild_alike(plan, trial, paths, {}) == kind
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +365,8 @@ def test_refine_candidates_verify_alike(monkeypatch):
     assert rejected
 
 
-def test_churn_plans_verify_alike(monkeypatch):
-    """The rebased and spliced plans of one warm churn run."""
+def churn_plans(monkeypatch):
+    """The rebased and spliced plans of one warm churn run, by kind."""
     import repro.runtime.incremental as incremental
     from repro.runtime import generate_scenario
     from repro.runtime.scenario import DEFAULT_EVENT_MIX, EventKind
@@ -282,6 +403,12 @@ def test_churn_plans_verify_alike(monkeypatch):
     churn_op({"scenario": scenario.to_dict(), "incremental": True})
     monkeypatch.undo()
     assert made["rebase"] and made["splice"]
+    return made
+
+
+def test_churn_plans_verify_alike(monkeypatch):
+    """The rebased and spliced plans of one warm churn run."""
+    made = churn_plans(monkeypatch)
     for plan in made["rebase"] + made["splice"]:
         assert_verifiers_agree(plan)
 

@@ -11,7 +11,16 @@ against the code they replaced (:mod:`split_oracle`,
   type and message.  The input graph is unchanged afterwards, and a
   one-segment split returns the input graph itself.
 * ``split_order`` and ``_prefix_candidates`` on the same graphs: the
-  same order and the same candidates.
+  same order and, unbounded, the same candidates.  Bounded by each
+  reference switch's capacity and fed the lazy walk, the sweep reads a
+  prefix of that order and gives the oracle's candidates truncated
+  after the first prefix over capacity, and the chosen position is the
+  one the oracle's whole sweep gives.
+* Two extremes: on every corpus graph, a reference switch smaller
+  than the walk's first MAT (the first prefix is already over
+  capacity), and on every third, one whose capacity exceeds the total
+  demand (nothing truncates, but a shallow pipeline still forces a
+  split).
 * ``Tdg.subgraph`` and ``Tdg.copy`` on random node subsets of the
   corpus TDGs: the same graph as the oracle's, adjacency included, and
   the same error for names the graph does not hold.
@@ -30,7 +39,13 @@ from split_oracle import (
 )
 
 from repro.core.analyzer import ProgramAnalyzer
-from repro.core.heuristic import _prefix_candidates, split_order, split_tdg
+from repro.core.heuristic import (
+    _choose_prefix_size,
+    _prefix_candidates,
+    _split_walk,
+    split_order,
+    split_tdg,
+)
 from repro.network.switch import Switch
 from tests.property.test_properties import random_dag
 from tests.tdg.analyzer_oracle import legacy_copy
@@ -70,21 +85,44 @@ def _segments(outcome):
     return [graph_shape(segment) for segment in outcome]
 
 
-def assert_splits_agree(tdg, shapes=SHAPES):
+def truncated(candidates, capacity):
+    """``candidates`` up to and including the first prefix whose demand
+    exceeds ``capacity``."""
+    for index, (_size, _cut, demand) in enumerate(candidates):
+        if demand > capacity:
+            return candidates[: index + 1]
+    return candidates
+
+
+def assert_sweeps_agree(tdg, order, legacy, reference):
+    """The bounded sweep over the lazy walk against the oracle's whole
+    sweep ``legacy`` of ``order``."""
+    capacity = reference.total_capacity
+    names, bounded = _prefix_candidates(tdg, _split_walk(tdg), capacity)
+    assert names == order[: len(names)]
+    assert bounded == truncated(legacy, capacity)
+    if legacy:
+        for floor in FLOORS:
+            assert _choose_prefix_size(
+                bounded, capacity, floor
+            ) == _choose_prefix_size(legacy, capacity, floor)
+
+
+def assert_splits_agree(tdg, shapes=SHAPES, floors=FLOORS):
     """Every shape and floor splits ``tdg`` alike; returns how many
     splits had several segments and how many failed."""
     before = graph_shape(tdg)
     order = split_order(tdg)
     assert order == legacy_split_order(tdg)
-    assert _prefix_candidates(tdg, order) == legacy_prefix_candidates(
-        tdg, order
-    )
+    legacy = legacy_prefix_candidates(tdg, order)
+    assert _prefix_candidates(tdg, iter(order)) == (order, legacy)
     several = failed = 0
     for num_stages, capacity in shapes:
         reference = Switch(
             "ref", num_stages=num_stages, stage_capacity=capacity
         )
-        for floor in FLOORS:
+        assert_sweeps_agree(tdg, order, legacy, reference)
+        for floor in floors:
             new = _outcome(split_tdg, tdg, reference, floor)
             assert graph_shape(tdg) == before
             old = _outcome(legacy_split_tdg, tdg, reference, floor)
@@ -108,6 +146,44 @@ def test_split_matches_the_oracle(spec, merge):
         assert several > 0
     if tdg.total_resource_demand() > 3.0:
         assert failed > 0
+
+
+@pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
+@pytest.mark.parametrize("spec", CORPUS)
+def test_split_on_a_switch_smaller_than_the_first_mat(spec, merge):
+    """Half the capacity the walk's first MAT needs: the sweep stops at
+    its first prefix, and every split fails alike."""
+    tdg = corpus_tdg(spec, merge)
+    order = split_order(tdg)
+    legacy = legacy_prefix_candidates(tdg, order)
+    shape = (1, tdg.node(order[0]).resource_demand / 2)
+    reference = Switch("ref", num_stages=shape[0], stage_capacity=shape[1])
+    _names, bounded = _prefix_candidates(
+        tdg, _split_walk(tdg), reference.total_capacity
+    )
+    assert bounded == legacy[:1]
+    assert assert_splits_agree(tdg, (shape,)) == (0, len(FLOORS))
+
+
+@pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
+@pytest.mark.parametrize("spec", CORPUS[::3])
+def test_split_on_a_switch_roomier_than_the_graph(spec, merge):
+    """Twice the graph's total demand on two stages: the sweep reads
+    every prefix, and the dependency chains still force a split.  No
+    prefix reaches half the capacity, so every fill floor chooses
+    alike and one is enough."""
+    tdg = corpus_tdg(spec, merge)
+    order = split_order(tdg)
+    shape = (2, tdg.total_resource_demand())
+    reference = Switch("ref", num_stages=shape[0], stage_capacity=shape[1])
+    assert _prefix_candidates(
+        tdg, _split_walk(tdg), reference.total_capacity
+    ) == (order, legacy_prefix_candidates(tdg, order))
+    several, _failed = assert_splits_agree(
+        tdg, (shape,), floors=(FLOORS[0],)
+    )
+    if len(tdg) > 40:
+        assert several == 1
 
 
 @pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
