@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stages import StageAssignmentError, assign_stages, segment_fits
 from repro.network.paths import PathEnumerator
@@ -85,8 +85,9 @@ def _split_walk(tdg: Tdg) -> Iterator[str]:
 
     The DFS ranking and the hub detection cover the whole graph before
     the first node is yielded; the walk itself runs only as far as its
-    reader goes, which lets :func:`split_tdg` stop at the first prefix
-    no switch can hold.
+    reader goes, which lets the prefix sweep
+    (:func:`_prefix_candidates`) stop at the first prefix no switch can
+    hold.
     """
     dfs = tdg.topological_order(strategy="dfs")
     rank = {name: i for i, name in enumerate(dfs)}
@@ -139,23 +140,23 @@ def _split_walk(tdg: Tdg) -> Iterator[str]:
 
 
 def _prefix_candidates(
-    tdg: Tdg, order: Iterable[str], capacity: float = math.inf
+    tdg: Tdg, capacity: float
 ) -> Tuple[List[str], List[Tuple[int, float, float]]]:
-    """Sweep the prefixes of ``order`` a switch of ``capacity`` can hold.
+    """Sweep the prefixes of ``tdg``'s split order a switch of
+    ``capacity`` can hold.
 
-    Returns the names read from ``order`` and, per prefix,
-    ``(size, cut_bytes, prefix_demand)``.  The cut is updated
+    Returns the names read from the walk (:func:`_split_walk`) and, per
+    prefix, ``(size, cut_bytes, prefix_demand)``.  The cut is updated
     incrementally — moving node ``a`` from the suffix to the prefix
     changes it by ``out_bytes(a) - in_bytes(a)`` (integers, read
     straight from the adjacency) — so the sweep is linear in what it
     reads.  The final position (empty suffix) is excluded.
 
-    ``order`` is read lazily, and the sweep stops after the first
-    prefix whose demand exceeds ``capacity``.  Demands are positive
-    (``Mat`` floors them at 0.01), so every longer prefix exceeds it
-    too, and :func:`_choose_prefix_size` picks none of them; that
-    first one is kept, as the position it falls back to when no prefix
-    fits.
+    The walk is read lazily, and the sweep stops after the first prefix
+    whose demand exceeds ``capacity``.  Demands are positive (``Mat``
+    floors them at 0.01), so every longer prefix exceeds it too, and
+    :func:`_choose_prefix_size` picks none of them; that first one is
+    kept, as the position it falls back to when no prefix fits.
     """
     edges, succ, pred = tdg._edges, tdg._succ, tdg._pred
     last = len(tdg)
@@ -163,7 +164,7 @@ def _prefix_candidates(
     candidates: List[Tuple[int, float, float]] = []
     cut = 0.0
     demand = 0.0
-    for name in order:
+    for name in _split_walk(tdg):
         names.append(name)
         if len(names) == last:
             break
@@ -245,9 +246,7 @@ def split_tdg(
                 f"MAT {remaining.node_names[0]!r} alone does not fit "
                 f"switch {reference.name!r}"
             )
-        topo, candidates = _prefix_candidates(
-            remaining, _split_walk(remaining), capacity
-        )
+        topo, candidates = _prefix_candidates(remaining, capacity)
         size = _choose_prefix_size(candidates, capacity, fill_floor)
         prefix = remaining.subgraph(
             topo[:size], name=f"{tdg.name}/{piece}"

@@ -12,7 +12,9 @@ the new code to them.
   ``_rebuild`` (sharing one layout memo, as ``refine_plan`` does) with
   the builder-based rebuild: both reject, both give the same
   placements and routing in the same order, the same occupied switches,
-  fingerprint and verifier report, or both raise the same exception.
+  fingerprint and verifier report (the production verifier's on
+  ``_rebuild``'s plan, the oracle verifier's on the oracle's plan), or
+  both raise the same exception.
   ``_rebuild`` verifies before it routes and validates, so the walks
   include a network with a switch no path reaches and two programs
   that define one metadata field with different widths, where the
@@ -107,10 +109,11 @@ def assert_verifiers_agree(plan):
 # ----------------------------------------------------------------------
 # _rebuild vs the builder-based rebuild
 # ----------------------------------------------------------------------
-def _rebuilt(rebuild, *args):
+def _rebuilt(rebuild, verify, *args):
     """What ``rebuild(*args)`` gave, in comparable parts: None, the
     plan's placements and routing in order, occupied switches,
-    fingerprint and verifier report, or the raised type and message."""
+    fingerprint and ``verify``'s report on it, or the raised type and
+    message."""
     try:
         plan = rebuild(*args)
     except Exception as exc:  # compared, not swallowed
@@ -122,7 +125,7 @@ def _rebuilt(rebuild, *args):
         list(plan.routing.items()),
         plan.occupied_switches(),
         plan_fingerprint(plan),
-        _report(verify_dataflow, plan),
+        _report(verify, plan),
     )
 
 
@@ -184,9 +187,14 @@ def walk_rebuilds_alike(plan, steps=200, seed=5):
 
 def rebuild_alike(plan, trial, paths, layouts):
     """Rebuild ``trial`` both ways, require the same outcome, and name
-    its kind: ``"accepted"``, ``"raised"`` or why it was rejected."""
-    fast = _rebuilt(_rebuild, plan, trial, paths, layouts)
-    legacy = _rebuilt(legacy_rebuild, plan, trial, paths)
+    its kind: ``"accepted"``, ``"raised"`` or why it was rejected.  Each
+    side's plan is reported by its own verifier: the production one,
+    whose report ``_rebuild``'s candidate already holds in its memo,
+    against a fresh run of the oracle."""
+    fast = _rebuilt(_rebuild, verify_dataflow, plan, trial, paths, layouts)
+    legacy = _rebuilt(
+        legacy_rebuild, legacy_verify_dataflow, plan, trial, paths
+    )
     assert fast == legacy
     if fast is None:
         return _why_rejected(plan, trial, paths, layouts)

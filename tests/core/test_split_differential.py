@@ -12,10 +12,10 @@ against the code they replaced (:mod:`split_oracle`,
   one-segment split returns the input graph itself.
 * ``split_order`` and ``_prefix_candidates`` on the same graphs: the
   same order and, unbounded, the same candidates.  Bounded by each
-  reference switch's capacity and fed the lazy walk, the sweep reads a
-  prefix of that order and gives the oracle's candidates truncated
-  after the first prefix over capacity, and the chosen position is the
-  one the oracle's whole sweep gives.
+  reference switch's capacity, the sweep reads a prefix of that order
+  and gives the oracle's candidates truncated after the first prefix
+  over capacity, and the chosen position is the one the oracle's whole
+  sweep gives.
 * Two extremes: on every corpus graph, a reference switch smaller
   than the walk's first MAT (the first prefix is already over
   capacity), and on every third, one whose capacity exceeds the total
@@ -26,6 +26,7 @@ against the code they replaced (:mod:`split_oracle`,
   the same error for names the graph does not hold.
 """
 
+import math
 import random
 from functools import lru_cache
 
@@ -42,7 +43,6 @@ from repro.core.analyzer import ProgramAnalyzer
 from repro.core.heuristic import (
     _choose_prefix_size,
     _prefix_candidates,
-    _split_walk,
     split_order,
     split_tdg,
 )
@@ -95,10 +95,10 @@ def truncated(candidates, capacity):
 
 
 def assert_sweeps_agree(tdg, order, legacy, reference):
-    """The bounded sweep over the lazy walk against the oracle's whole
-    sweep ``legacy`` of ``order``."""
+    """The bounded sweep against the oracle's whole sweep ``legacy`` of
+    ``order``."""
     capacity = reference.total_capacity
-    names, bounded = _prefix_candidates(tdg, _split_walk(tdg), capacity)
+    names, bounded = _prefix_candidates(tdg, capacity)
     assert names == order[: len(names)]
     assert bounded == truncated(legacy, capacity)
     if legacy:
@@ -115,7 +115,7 @@ def assert_splits_agree(tdg, shapes=SHAPES, floors=FLOORS):
     order = split_order(tdg)
     assert order == legacy_split_order(tdg)
     legacy = legacy_prefix_candidates(tdg, order)
-    assert _prefix_candidates(tdg, iter(order)) == (order, legacy)
+    assert _prefix_candidates(tdg, math.inf) == (order, legacy)
     several = failed = 0
     for num_stages, capacity in shapes:
         reference = Switch(
@@ -158,9 +158,7 @@ def test_split_on_a_switch_smaller_than_the_first_mat(spec, merge):
     legacy = legacy_prefix_candidates(tdg, order)
     shape = (1, tdg.node(order[0]).resource_demand / 2)
     reference = Switch("ref", num_stages=shape[0], stage_capacity=shape[1])
-    _names, bounded = _prefix_candidates(
-        tdg, _split_walk(tdg), reference.total_capacity
-    )
+    _names, bounded = _prefix_candidates(tdg, reference.total_capacity)
     assert bounded == legacy[:1]
     assert assert_splits_agree(tdg, (shape,)) == (0, len(FLOORS))
 
@@ -176,9 +174,10 @@ def test_split_on_a_switch_roomier_than_the_graph(spec, merge):
     order = split_order(tdg)
     shape = (2, tdg.total_resource_demand())
     reference = Switch("ref", num_stages=shape[0], stage_capacity=shape[1])
-    assert _prefix_candidates(
-        tdg, _split_walk(tdg), reference.total_capacity
-    ) == (order, legacy_prefix_candidates(tdg, order))
+    assert _prefix_candidates(tdg, reference.total_capacity) == (
+        order,
+        legacy_prefix_candidates(tdg, order),
+    )
     several, _failed = assert_splits_agree(
         tdg, (shape,), floors=(FLOORS[0],)
     )
