@@ -20,14 +20,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer import ProgramAnalyzer
+from repro.core.heuristic import select_switches
 from repro.core.stages import earliest_window
 from repro.dataplane.program import Program
-from repro.network.paths import Path, PathEnumerator
+from repro.network.paths import PathEnumerator
 from repro.network.topology import Network
 from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
+    route_all_pairs,  # noqa: F401  (the chain placements look it up here)
 )
 from repro.tdg.graph import Tdg
 from repro.telemetry import emit
@@ -126,22 +128,14 @@ def build_switch_chain(
 ) -> List[str]:
     """Programmable switches ordered as a deployment chain.
 
-    The first programmable switch anchors the chain; the rest follow in
-    order of shortest-path latency from the anchor (unreachable ones are
-    dropped).
+    The first programmable switch anchors the chain; the rest follow by
+    shortest-path latency from it, ties by name (unreachable ones are
+    dropped): :func:`select_switches` around the anchor, unbounded.
     """
     programmable = network.programmable_names()
     if not programmable:
         raise DeploymentError("network has no programmable switches")
-    anchor = programmable[0]
-    ranked: List[Tuple[float, str]] = [(0.0, anchor)]
-    for name in programmable[1:]:
-        path = paths.shortest(anchor, name)
-        if path is None:
-            continue
-        ranked.append((path.latency_us, name))
-    ranked.sort()
-    return [name for _latency, name in ranked]
+    return select_switches(programmable[0], network, paths)
 
 
 def schedule_on_chain(
@@ -218,24 +212,3 @@ def schedule_on_chain(
                 f"{mat_name!r} (demand {mat.resource_demand:.3f})"
             )
     return placements
-
-
-def route_all_pairs(
-    plan: DeploymentPlan, paths: PathEnumerator
-) -> DeploymentPlan:
-    """A plan with shortest-path routing for every communicating pair.
-
-    The input plan is left untouched (it used to be mutated in place,
-    which aliased routing state between callers); the returned plan
-    shares placements — and their already-computed metric caches — with
-    the input.
-    """
-    routing: Dict[Tuple[str, str], Path] = {}
-    for pair in plan.pair_metadata_bytes():
-        path = paths.shortest(*pair)
-        if path is None:
-            raise DeploymentError(
-                f"no path between communicating switches {pair}"
-            )
-        routing[pair] = path
-    return plan.with_routing(routing)

@@ -50,7 +50,8 @@ class SwitchConfig:
         emit_headers: Metadata header layout to append per downstream
             peer: peer -> list of (field name, offset, size bytes).
         extract_headers: Header layout to parse per upstream peer.
-        forwarding: Steering entries towards downstream peers.
+        forwarding: Steering entries towards downstream peers, by peer
+            name.
         total_rules: Rules installed across the switch's MATs.
         detailed_demand: Aggregate SRAM/TCAM/ALU consumption.
     """
@@ -135,8 +136,8 @@ class Backend:
             configs[u].emit_headers[v] = layout
             configs[v].extract_headers[u] = layout
 
-        # Forwarding along routed paths.
-        for (u, v), path in plan.routing.items():
+        # Forwarding along routed paths, in pair order like the document.
+        for (u, v), path in sorted(plan.routing.items()):
             if path.hop_count == 0:
                 continue
             if u in configs:

@@ -120,7 +120,8 @@ def select_delta_candidates(
                 fixed_load.get(p.switch, 0.0)
                 + tdg.node(name).resource_demand
             )
-    demand = sum(tdg.node(name).resource_demand for name in free_set)
+    # Summed in ``free``'s order: a set's order follows the hash seed.
+    demand = sum(tdg.node(name).resource_demand for name in free)
 
     limit = len(ranked)
     if max_candidates is not None:

@@ -44,7 +44,12 @@ from repro.milp.highs import HighsSolver
 from repro.milp.solution import Solution, SolveStatus
 from repro.network.paths import Path, PathEnumerator
 from repro.network.topology import Network
-from repro.plan.artifact import DeploymentError, DeploymentPlan, MatPlacement
+from repro.plan.artifact import (
+    DeploymentError,
+    DeploymentPlan,
+    MatPlacement,
+    route_all_pairs,
+)
 from repro.tdg.graph import Tdg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -665,23 +670,23 @@ class MilpFormulation:
         if missing:
             raise DeploymentError(f"solver left MATs unplaced: {missing}")
 
+        # First-use order: a set's order would follow the hash seed.
         placements: Dict[str, MatPlacement] = {}
-        for u in set(switch_of.values()):
+        for u in dict.fromkeys(switch_of.values()):
             segment = tdg.subgraph(
                 [a for a, s in switch_of.items() if s == u], name=f"seg_{u}"
             )
             placements.update(assign_stages(segment, network.switch(u)))
 
-        plan = DeploymentPlan(tdg, network, placements)
-        routing: Dict[Tuple[str, str], Path] = {}
-        for pair in plan.pair_metadata_bytes():
-            chosen = self._decode_path(handles, solution, paths, pair)
-            if chosen is None:
-                raise DeploymentError(
-                    f"no path between communicating switches {pair}"
-                )
-            routing[pair] = chosen
-        plan = plan.with_routing(routing)
+        plan = route_all_pairs(DeploymentPlan(tdg, network, placements), paths)
+        if self.explicit_paths:
+            plan = plan.with_routing(
+                {
+                    pair: self._decode_path(handles, solution, paths, pair)
+                    or path
+                    for pair, path in plan.routing.items()
+                }
+            )
         plan.validate()
         return plan
 
@@ -692,14 +697,14 @@ class MilpFormulation:
         paths: PathEnumerator,
         pair: Tuple[str, str],
     ) -> Optional[Path]:
+        """The first path the ``y`` columns chose for ``pair`` (Eq. 7),
+        or None; a model without latency terms has no ``y`` columns."""
         u, v = pair
-        if self.explicit_paths:
-            pair_paths = paths.paths(u, v)
-            for idx, _path in enumerate(pair_paths):
-                var = handles.path_choice.get((u, v, idx))
-                if var is not None and solution.rounded(var) == 1:
-                    return pair_paths[idx]
-        return paths.shortest(u, v)
+        for idx, path in enumerate(paths.paths(u, v)):
+            var = handles.path_choice.get((u, v, idx))
+            if var is not None and solution.rounded(var) == 1:
+                return path
+        return None
 
 
 class HermesMilp(MilpFormulation):

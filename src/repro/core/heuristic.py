@@ -48,7 +48,7 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
-    first_meet_routing,
+    route_all_pairs,
 )
 from repro.network.switch import Switch
 from repro.network.topology import Network
@@ -415,19 +415,19 @@ class GreedyHeuristic:
         if self.replicate_hubs == "auto":
             return self._deploy_auto(tdg, network, paths)
         plans: List[DeploymentPlan] = []
+        # Kept as text: a kept traceback would hold this frame's plans.
+        split_error: Optional[str] = None
         try:
             plans.append(self._deploy_min_cut(tdg, network, paths))
         except DeploymentError as exc:
-            split_error: Optional[Exception] = exc
-        else:
-            split_error = None
+            split_error = str(exc)
         chain_plan = self._deploy_chain(tdg, network, paths)
         if chain_plan is not None:
             plans.append(chain_plan)
         if not plans:
             raise DeploymentError(
                 "greedy heuristic found no feasible deployment"
-                + (f": {split_error}" if split_error else "")
+                + (f": {split_error}" if split_error is not None else "")
             )
         # Portfolio: the min-cut split minimizes total boundary bytes;
         # the interleaving chain schedule spreads crossings over more
@@ -470,7 +470,7 @@ class GreedyHeuristic:
                         tdg, reference, min(0.98, max(needed, FILL_FLOOR))
                     )
 
-        last_error: Optional[Exception] = None
+        last_error: Optional[str] = None
         for anchor in network.programmable_names():
             candidates = select_switches(
                 anchor, network, paths, self.epsilon1, self.epsilon2
@@ -480,11 +480,11 @@ class GreedyHeuristic:
             try:
                 return self._place(tdg, network, paths, segments, candidates)
             except (StageAssignmentError, DeploymentError) as exc:
-                last_error = exc
+                last_error = str(exc)
                 continue
         raise DeploymentError(
             "greedy heuristic found no feasible anchor switch"
-            + (f": {last_error}" if last_error else "")
+            + (f": {last_error}" if last_error is not None else "")
         )
 
     def _deploy_chain(
@@ -559,12 +559,8 @@ class GreedyHeuristic:
         segments: Sequence[Tdg],
         candidates: Sequence[str],
     ) -> DeploymentPlan:
-        """Lay each segment out on its candidate switch, route, validate.
-
-        The layouts are concatenated in segment order, and
-        :func:`~repro.plan.artifact.first_meet_routing` routes the
-        pairs in the order those placements first meet them.
-        """
+        """Lay each segment out on its candidate switch, in segment
+        order, then route and validate the plan."""
         placements: Dict[str, MatPlacement] = {}
         for segment, host in zip(segments, candidates):
             layout = assign_stages(segment, network.switch(host))
@@ -576,10 +572,12 @@ class GreedyHeuristic:
                     f"MAT {twice!r} is in more than one segment"
                 )
             placements.update(layout)
+        missing = set(tdg.node_names).difference(placements)
+        if missing:  # the router reads every MAT's host
+            raise DeploymentError(f"unplaced MATs: {sorted(missing)}")
         # Consecutive chain hops (Algorithm 2 lines 26-29) plus any
         # skip-level pairs created by edges spanning non-adjacent
         # segments: every communicating pair gets its shortest path.
-        routing = first_meet_routing(tdg, placements, paths)
-        plan = DeploymentPlan(tdg, network, placements, routing)
+        plan = route_all_pairs(DeploymentPlan(tdg, network, placements), paths)
         plan.validate()
         return plan

@@ -57,7 +57,7 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
-    first_meet_routing,
+    route_all_pairs,
 )
 from repro.tdg.graph import Tdg
 
@@ -87,7 +87,7 @@ def _rebuild(
        without routing;
     3. the dataflow verifier runs on that plan;
     4. only a verified plan is routed by
-       :func:`~repro.plan.artifact.first_meet_routing`, and its
+       :func:`~repro.plan.artifact.route_all_pairs`, and its
        ``with_routing`` sibling is validated in full.
 
     The order is exact.  The verifier reads only the TDG and the
@@ -147,12 +147,10 @@ def _routed(
     candidate: DeploymentPlan, paths: PathEnumerator
 ) -> Optional[DeploymentPlan]:
     """``candidate`` routed by
-    :func:`~repro.plan.artifact.first_meet_routing` and validated, or
-    None if either fails."""
+    :func:`~repro.plan.artifact.route_all_pairs` and validated, or None
+    if either fails."""
     try:
-        routed = candidate.with_routing(
-            first_meet_routing(candidate.tdg, candidate.placements, paths)
-        )
+        routed = route_all_pairs(candidate, paths)
         routed.validate()
     except DeploymentError:
         return None

@@ -10,10 +10,10 @@ end-to-end latency ``t_e2e`` and occupied switch count ``Q_occ``.
 The plan is an *immutable artifact*: once constructed, its placements
 and routing never change, so every derived metric is computed once and
 cached.  Code that needs another plan constructs one:
-:func:`first_meet_routing` routes a set of placements, and
 :meth:`DeploymentPlan.with_routing` gives a sibling with the same
 placements and new routing (and, for a rebase, a new network) that
-shares what the placements determine.  Plans serialize to a canonical,
+shares what the placements determine, and :func:`route_all_pairs` gives
+the sibling routed on shortest paths.  Plans serialize to a canonical,
 versioned JSON document (:meth:`DeploymentPlan.to_dict` /
 :meth:`DeploymentPlan.from_dict`; see :mod:`repro.plan.serialize`) and
 compare structurally via :func:`repro.plan.diff.diff_plans`.
@@ -450,54 +450,22 @@ class DeploymentPlan:
         )
 
 
-def _neighbours(
-    tdg: Tdg,
-) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-    """Each MAT's successors and predecessors, sorted by name.  Memoized
-    per graph."""
-    return {
-        name: (
-            tuple(sorted(tdg.successors(name))),
-            tuple(sorted(tdg.predecessors(name))),
-        )
-        for name in tdg.node_names
-    }
-
-
-def first_meet_routing(
-    tdg: Tdg,
-    placements: Mapping[str, MatPlacement],
-    paths: PathEnumerator,
-) -> Dict[Tuple[str, str], Path]:
-    """Shortest-path routing for every communicating pair of
-    ``placements``.
-
-    Pairs are routed in the order the placements first meet them: the
-    placements in order, and for each placement its pairs with the
-    successors placed before it, then with the predecessors placed
-    before it, each by name.  A pair on one switch needs no route, and
-    a routed pair is not routed again.  ``Backend.compile`` emits
-    forwarding entries in routing order, and the first pair without a
-    path is the one reported.
+def route_all_pairs(
+    plan: DeploymentPlan, paths: PathEnumerator
+) -> DeploymentPlan:
+    """``plan``'s :meth:`~DeploymentPlan.with_routing` sibling with a
+    shortest path for every key of
+    :meth:`~DeploymentPlan.pair_metadata_bytes`, routed in that order.
 
     Raises:
-        DeploymentError: When a communicating pair has no path.
+        DeploymentError: At the first communicating pair without a path.
     """
-    neighbours = tdg.memoized(_neighbours)
-    placed: Dict[str, str] = {}
     routing: Dict[Tuple[str, str], Path] = {}
-    for mat_name, placement in placements.items():
-        here = placed[mat_name] = placement.switch
-        successors, predecessors = neighbours[mat_name]
-        pairs = [(here, placed[d]) for d in successors if d in placed]
-        pairs += [(placed[p], here) for p in predecessors if p in placed]
-        for pair in pairs:
-            if pair[0] == pair[1] or pair in routing:
-                continue
-            path = paths.shortest(*pair)
-            if path is None:
-                raise DeploymentError(
-                    f"no path between communicating switches {pair}"
-                )
-            routing[pair] = path
-    return routing
+    for pair in plan.pair_metadata_bytes():
+        path = paths.shortest(*pair)
+        if path is None:
+            raise DeploymentError(
+                f"no path between communicating switches {pair}"
+            )
+        routing[pair] = path
+    return plan.with_routing(routing)

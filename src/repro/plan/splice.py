@@ -33,7 +33,7 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
-    first_meet_routing,
+    route_all_pairs,
 )
 from repro.tdg.graph import Tdg
 
@@ -162,12 +162,12 @@ def rebase_plan(
     ``A_max`` is invariant under rebasing — pair bytes depend only on
     placements, never on links.  The placements are kept as they are,
     in their order, and routed by
-    :func:`~repro.plan.artifact.first_meet_routing`.  The rebased plan
-    is :meth:`DeploymentPlan.with_routing` on the new network, so it
-    inherits the old plan's placement metrics (pair bytes, ``A_max``,
-    occupied switches, stage loads) and, when the old plan passed
-    validation, skips the checks that read only the placements; hosts,
-    stage capacity and routing are checked on ``network``.
+    :func:`~repro.plan.artifact.route_all_pairs` on the new network.
+    The rebased plan is a :meth:`DeploymentPlan.with_routing` sibling,
+    so it inherits the old plan's placement metrics (pair bytes,
+    ``A_max``, occupied switches, stage loads) and, when the old plan
+    passed validation, skips the checks that read only the placements;
+    hosts, stage capacity and routing are checked on ``network``.
 
     Raises:
         DeploymentError: When validation fails (a placement actually
@@ -176,10 +176,7 @@ def rebase_plan(
     """
     paths = paths or PathEnumerator(network)
     try:
-        routing = first_meet_routing(
-            old_plan.tdg, old_plan.placements, paths
-        )
-        plan = old_plan.with_routing(routing, network)
+        plan = route_all_pairs(old_plan.with_routing({}, network), paths)
         if validate:
             plan.validate()
         return plan
@@ -209,8 +206,8 @@ def splice_plan(
     predicted objective, when the caller knows it) the splice fails
     before routing — the model and the plan disagreeing means the delta
     abstraction leaked, and the caller must escalate rather than
-    activate a mispriced plan.  Otherwise the pairs are routed by
-    :func:`~repro.plan.artifact.first_meet_routing`.
+    activate a mispriced plan.  Otherwise the plan is routed by
+    :func:`~repro.plan.artifact.route_all_pairs`.
 
     Args:
         old_plan: The currently active plan; its TDG must still be the
@@ -283,7 +280,7 @@ def splice_plan(
             f"{plan.max_metadata_bytes()} B exceeds the delta "
             f"model's prediction {amax_cap} B"
         )
-    plan = plan.with_routing(first_meet_routing(tdg, placements, paths))
+    plan = route_all_pairs(plan, paths)
     if validate:
         plan.validate()
     return plan

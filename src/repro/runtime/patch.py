@@ -30,6 +30,7 @@ from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
     MatPlacement,
+    route_all_pairs,
 )
 from repro.plan.splice import (
     cross_bytes as _cross_bytes,
@@ -79,7 +80,7 @@ def cheapest_patch(
             orphans.append(name)
     if not orphans:
         # Nothing to re-home; only the routing may need repair.
-        return _routed(tdg, network, surviving, paths)
+        return route_all_pairs(DeploymentPlan(tdg, network, surviving), paths)
 
     free = _free_capacity(tdg, hostable, surviving)
     placements = dict(surviving)
@@ -89,7 +90,7 @@ def cheapest_patch(
         placements[name] = _place_orphan(
             tdg, name, hostable, free, placements, paths
         )
-    plan = _routed(tdg, network, placements, paths)
+    plan = route_all_pairs(DeploymentPlan(tdg, network, placements), paths)
     plan.validate()
     return plan
 
@@ -139,21 +140,3 @@ def _place_orphan(
         free[placement.switch][stage - 1] -= share
     return placement
 
-
-def _routed(
-    tdg: Tdg,
-    network: Network,
-    placements: Dict[str, MatPlacement],
-    paths: PathEnumerator,
-) -> DeploymentPlan:
-    """A plan over ``placements`` routed on latency-shortest paths."""
-    plan = DeploymentPlan(tdg, network, placements)
-    routing = {}
-    for pair in plan.pair_metadata_bytes():
-        path = paths.shortest(*pair)
-        if path is None:
-            raise DeploymentError(
-                f"patch: communicating pair {pair} is disconnected"
-            )
-        routing[pair] = path
-    return plan.with_routing(routing)

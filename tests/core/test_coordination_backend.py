@@ -9,8 +9,9 @@ from repro.core.heuristic import GreedyHeuristic
 from repro.dataplane.actions import modify, no_op
 from repro.dataplane.fields import header_field, metadata_field
 from repro.dataplane.mat import Mat
-from repro.network.generators import linear_topology
+from repro.network.generators import linear_topology, random_wan
 from repro.tdg.dependencies import DependencyType
+from repro.workloads.switchp4 import real_programs
 from tests.conftest import make_sketch_program
 
 
@@ -117,6 +118,23 @@ class TestBackend:
                 assert entry.path[0] == config.switch
                 assert entry.next_hop == entry.path[1]
                 assert entry.path[-1] == entry.destination_switch
+
+    def test_configs_ignore_the_routing_order(self):
+        """Forwarding entries come out in pair order, however the
+        routing was built."""
+        tdg = ProgramAnalyzer().analyze(real_programs(10))
+        net = random_wan(16, 24, seed=3, num_stages=4)
+        plan = GreedyHeuristic().deploy(tdg, net)
+        backwards = plan.with_routing(
+            dict(reversed(list(plan.routing.items())))
+        )
+
+        def compiled(plan):
+            configs = Backend().compile(plan)
+            return [(name, c.to_dict()) for name, c in configs.items()]
+
+        assert max(len(c["forwarding"]) for _n, c in compiled(plan)) > 1
+        assert compiled(backwards) == compiled(plan)
 
     def test_to_dict_is_json_ready(self, split_plan):
         import json

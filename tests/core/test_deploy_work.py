@@ -6,8 +6,9 @@ On one of its instances (``wan:72:88:6404``) this pins, per deploy:
 
 * refine's 22 candidate rebuilds, of which the verifier, which now runs
   before routing, rejects 7 unrouted: 3 ``validate()`` calls (the
-  min-cut and chain plans and the accepted candidate), 2
-  ``first_meet_routing`` calls and 103 shortest-path queries;
+  min-cut and chain plans and the accepted candidate), 3
+  ``route_all_pairs`` calls (the same three plans) and 103
+  shortest-path queries;
 * 8 verifier runs and 8 channel builds: each candidate the layouts
   pass is verified once, and the deploy document reads the accepted
   candidate's report and channels from the plan's memo;
@@ -25,6 +26,7 @@ from collections import Counter
 
 import pytest
 
+import repro.baselines.base as base
 import repro.core.heuristic as heuristic
 import repro.core.refine as refine
 from repro.network.paths import PathEnumerator
@@ -58,8 +60,10 @@ def counted(monkeypatch):
 
     counting(refine, "_rebuild", "rebuild")
     counting(DeploymentPlan, "validate", "validate")
-    for module in (refine, heuristic):
-        counting(module, "first_meet_routing", "routing")
+    # Algorithm 2 and refine bind the router by name; the chain
+    # portfolio member looks it up in repro.baselines.base.
+    for module in (refine, heuristic, base):
+        counting(module, "route_all_pairs", "routing")
     counting(PathEnumerator, "shortest", "shortest")
     counting(heuristic, "_choose_prefix_size", "split rounds")
 
@@ -102,7 +106,7 @@ def test_one_verified_deploy_does_only_the_work_it_uses(counted):
     } == {
         "rebuild": 22,
         "validate": 3,
-        "routing": 2,
+        "routing": 3,
         "shortest": 103,
         "verifier runs": 8,
         "channel builds": 8,

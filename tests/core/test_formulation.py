@@ -12,7 +12,7 @@ from repro.core.formulation import (
     select_candidates,
 )
 from repro.core.heuristic import GreedyHeuristic
-from repro.network.generators import linear_topology
+from repro.network.generators import linear_topology, random_wan
 from repro.network.paths import PathEnumerator
 from repro.plan.artifact import DeploymentError
 from tests.conftest import make_sketch_program
@@ -150,6 +150,23 @@ class TestDeploy:
         )
         plan = formulation.deploy(tdg, line4)
         plan.validate()
+
+    def test_explicit_paths_without_latency_terms_route_shortest(self):
+        """Without a latency objective or bound the model has no ``y``
+        columns, so every communicating pair keeps its shortest path."""
+        programs = [
+            make_sketch_program(f"q{i}", demands=(0.9,) * 3) for i in range(2)
+        ]
+        tdg = ProgramAnalyzer().analyze(programs)
+        net = random_wan(6, 9, seed=2, num_stages=2, stage_capacity=1.0)
+        plan = MilpFormulation(
+            objective=OBJECTIVE_OVERHEAD, explicit_paths=True, time_limit_s=60
+        ).deploy(tdg, net)
+        paths = PathEnumerator(net)
+        assert len(plan.routing) > 1
+        assert plan.routing == {
+            pair: paths.shortest(*pair) for pair in plan.pair_metadata_bytes()
+        }
 
     def test_last_solution_recorded(self, six_tdg, line4):
         formulation = HermesMilp(time_limit_s=60)

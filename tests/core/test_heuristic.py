@@ -1,6 +1,8 @@
 """Unit tests for the greedy heuristic (Algorithm 2)."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -183,6 +185,25 @@ class TestGreedyHeuristic:
         net = random_wan(30, 40, seed=11)
         plan = GreedyHeuristic().deploy(tdg, net)
         plan.validate()
+
+    def test_failed_split_keeps_no_cycle_to_the_plan(self):
+        """The min-cut deploy fails here, so the chain plan is returned
+        after a caught error.  Dropping the plan frees it at once: no
+        traceback kept from that error holds the frame that built
+        it."""
+        tdg = ProgramAnalyzer().analyze(real_programs(10))
+        net = random_wan(16, 24, seed=2, num_stages=4)
+        with pytest.raises(DeploymentError):
+            GreedyHeuristic()._deploy_min_cut(tdg, net, PathEnumerator(net))
+        gc.collect()
+        gc.disable()
+        try:
+            plan = GreedyHeuristic().deploy(tdg, net)
+            ref = weakref.ref(plan)
+            del plan
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSplitMemo:

@@ -11,8 +11,10 @@ the new code to them.
 * A random walk of single-MAT moves, feasible and infeasible, compares
   ``_rebuild`` (sharing one layout memo, as ``refine_plan`` does) with
   the builder-based rebuild: both reject, both give the same
-  placements and routing in the same order, the same occupied switches,
-  fingerprint and verifier report (the production verifier's on
+  placements in the same order, the same routing (as a mapping: the
+  oracle routes in the retired first-meet order, production in pair
+  order), the same occupied switches, fingerprint and verifier report
+  (the production verifier's on
   ``_rebuild``'s plan, the oracle verifier's on the oracle's plan), or
   both raise the same exception.
   ``_rebuild`` verifies before it routes and validates, so the walks
@@ -111,9 +113,9 @@ def assert_verifiers_agree(plan):
 # ----------------------------------------------------------------------
 def _rebuilt(rebuild, verify, *args):
     """What ``rebuild(*args)`` gave, in comparable parts: None, the
-    plan's placements and routing in order, occupied switches,
-    fingerprint and ``verify``'s report on it, or the raised type and
-    message."""
+    plan's placements in order and routing as a mapping, occupied
+    switches, fingerprint and ``verify``'s report on it, or the raised
+    type and message."""
     try:
         plan = rebuild(*args)
     except Exception as exc:  # compared, not swallowed
@@ -122,7 +124,7 @@ def _rebuilt(rebuild, verify, *args):
         return None
     return (
         list(plan.placements.items()),
-        list(plan.routing.items()),
+        dict(plan.routing),
         plan.occupied_switches(),
         plan_fingerprint(plan),
         _report(verify, plan),

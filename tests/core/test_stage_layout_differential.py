@@ -15,9 +15,10 @@ the code they replaced.
   placement for every anchor of the Exp#5 shape, on a segment that
   does not fit, on a disconnected pair, on segments that miss a MAT
   and on overlapping segments:
-  the same placements and routing in the same order and the same
-  fingerprint, or the same exception type and message, raised after
-  the same layouts.
+  the same placements in the same order, the same routing (as a
+  mapping: the oracle routes in first-meet order, the router in pair
+  order) and the same fingerprint, or the same exception type and
+  message, raised after the same layouts.
 * Rebased plans: pair bytes, ``A_max``, occupied switches and every
   switch's stage loads equal a freshly built plan's, ``t_e2e`` follows
   the new routing, and a rebase onto a network where a host lost stages
@@ -49,7 +50,7 @@ from repro.network.switch import Switch
 from repro.network.topology import Link, Network
 from repro.plan import plan_fingerprint
 from repro.plan.artifact import DeploymentError, DeploymentPlan
-from repro.plan.artifact import first_meet_routing
+from repro.plan.artifact import route_all_pairs
 from repro.plan.splice import rebase_plan
 import repro.runtime.incremental as incremental
 from repro.runtime import Reconciler, ReconcilerPolicy
@@ -230,7 +231,7 @@ def _plan_outcome(place, tdg, network, segments, candidates):
         return plan
     return (
         list(plan.placements.items()),
-        list(plan.routing.items()),
+        dict(plan.routing),
         plan_fingerprint(plan),
     )
 
@@ -497,9 +498,10 @@ def _rebase_error(plan, network):
 
 
 def _fresh_error(plan, network):
-    paths = PathEnumerator(network)
-    routing = first_meet_routing(plan.tdg, plan.placements, paths)
-    fresh = DeploymentPlan(plan.tdg, network, plan.placements, routing)
+    fresh = route_all_pairs(
+        DeploymentPlan(plan.tdg, network, plan.placements),
+        PathEnumerator(network),
+    )
     return _outcome(fresh.validate)
 
 

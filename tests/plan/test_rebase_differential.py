@@ -2,12 +2,17 @@
 replaced.
 
 ``rebase_plan`` keeps the old plan's placements and routes them with
-``first_meet_routing``; the oracle in :mod:`rebase_oracle` is the
+``route_all_pairs``; the oracle in :mod:`rebase_oracle` is the
 ``PlanBuilder``-based rebase.  On every input both must give the same
-placements and routing, in the same order, the same fingerprint and the
-same switch configurations from ``Backend.compile`` (which emits
-forwarding entries in routing order), or raise the same exception type
-with the same message.
+placements in the same order, the same routing, the same fingerprint
+and the same switch configurations from ``Backend.compile`` (which
+emits forwarding entries in pair order), or raise the same exception
+type.  The routing is compared as a mapping: the oracle routes the
+pairs in the order its placements first meet them, the router in pair
+order.  When routing fails, the production message names the first
+pair, in pair order, without a path, or the vanished host that pair
+reads (see :func:`_routing_failure`); any other failure has the
+oracle's message.
 
 * Every rebase of six warm network-churn runs of the repo benchmark's
   churn shape: the three golden-pinned scenario seeds and seeds 1-3.
@@ -57,8 +62,8 @@ SEEDS = (4, 11, 38, 1, 2, 3)
 
 def _outcome(rebase, old_plan, network):
     """What ``rebase`` makes of ``old_plan`` on ``network``: the plan's
-    ordered placements and routing, fingerprint and configs, or the
-    type and message of what it raised."""
+    ordered placements, routing, fingerprint and configs, or the type
+    and message of what it raised."""
     try:
         plan = rebase(old_plan, network, PathEnumerator(network))
     except Exception as exc:  # compared, not swallowed
@@ -66,15 +71,37 @@ def _outcome(rebase, old_plan, network):
     configs = Backend().compile(plan)
     return (
         list(plan.placements.items()),
-        list(plan.routing.items()),
+        dict(plan.routing),
         plan_fingerprint(plan),
         [(name, config.to_dict()) for name, config in configs.items()],
     )
 
 
+def _routing_failure(old_plan, network):
+    """The router's contract for ``old_plan`` rebased onto ``network``:
+    the message of the first pair in pair order whose host vanished or
+    that has no path, or None when every pair routes."""
+    paths = PathEnumerator(network)
+    for pair in old_plan.pair_metadata_bytes():
+        try:
+            path = paths.shortest(*pair)
+        except KeyError as exc:
+            return f"rebase: {exc.args[0]}"
+        if path is None:
+            return f"no path between communicating switches {pair}"
+    return None
+
+
 def assert_rebases_agree(old_plan, network):
     outcome = _outcome(rebase_plan, old_plan, network)
-    assert outcome == _outcome(legacy_rebase_plan, old_plan, network)
+    oracle = _outcome(legacy_rebase_plan, old_plan, network)
+    failure = _routing_failure(old_plan, network)
+    if failure is None:
+        assert outcome == oracle
+    else:
+        # Both fail at routing, each at the first pair in its order.
+        assert len(oracle) == 2 and outcome[0] is oracle[0]
+        assert outcome == (DeploymentError, failure)
     return outcome
 
 
@@ -149,8 +176,9 @@ def test_rebase_onto_the_same_network_matches_the_oracle(plan, network):
 
 def test_pair_met_from_both_sides_matches_the_oracle():
     """``b``, placed last, meets its successor's switch and its
-    predecessor's switch at once: successors first, as the builder
-    visits its out-edges before its in-edges."""
+    predecessor's switch at once.  The builder routed ``(s1, s2)``
+    first, as it visits out-edges before in-edges; the router routes
+    in pair order, the TDG's edge order."""
     tdg = Tdg("both-sides")
     for name in "abc":
         tdg.add_node(Mat(name, actions=[no_op()], resource_demand=0.2))
@@ -167,16 +195,12 @@ def test_pair_met_from_both_sides_matches_the_oracle():
         },
     )
     outcome = assert_rebases_agree(plan, network)
-    assert [pair for pair, _path in outcome[1]] == [
-        ("s1", "s2"),
-        ("s0", "s1"),
-    ]
+    assert list(outcome[1]) == [("s0", "s1"), ("s1", "s2")]
 
 
 def test_many_pair_rebase_matches_the_oracle():
     """An Exp#5-scale plan: many communicating pairs, each first met
-    from a successor or a predecessor, so any other routing order
-    shows."""
+    from a successor or a predecessor."""
     network = resolve("wan:72:88:11")
     tdg = ProgramAnalyzer().analyze(parse_workload("real:10+synthetic:10"))
     plan = GreedyHeuristic().deploy(tdg, network)

@@ -2,12 +2,14 @@
 replaced.
 
 ``splice_plan`` collects the kept and the re-homed placements itself,
-checks ``amax_cap`` against the plan they make and routes them with
-``first_meet_routing``; the oracle in :mod:`splice_oracle` is the
+checks ``amax_cap`` against the plan they make and routes it with
+``route_all_pairs``; the oracle in :mod:`splice_oracle` is the
 ``PlanBuilder``-based splice.  On every input both must give the same
-placements and routing, in the same order, the same fingerprint and the
-same switch configurations from ``Backend.compile``, or raise the same
-exception type with the same message.
+placements in the same order, the same routing (as a mapping: the
+oracle routes in the order its placements first meet the pairs, the
+router in pair order), the same fingerprint and the same switch
+configurations from ``Backend.compile``, or raise the same exception
+type with the same message.
 
 * Every splice of the warm churn corpus (:mod:`tests.runtime.warm_corpus`):
   default-mix and network-only runs, seeds 1-8.
@@ -36,8 +38,8 @@ from tests.runtime.warm_corpus import replay_all
 
 def _outcome(splice, old_plan, network, assignment, amax_cap):
     """What ``splice`` makes of ``assignment`` on ``old_plan``: the
-    plan's ordered placements and routing, fingerprint and configs, or
-    the type and message of what it raised."""
+    plan's ordered placements, routing, fingerprint and configs, or the
+    type and message of what it raised."""
     try:
         plan = splice(
             old_plan,
@@ -51,7 +53,7 @@ def _outcome(splice, old_plan, network, assignment, amax_cap):
     configs = Backend().compile(plan)
     return (
         list(plan.placements.items()),
-        list(plan.routing.items()),
+        dict(plan.routing),
         plan_fingerprint(plan),
         [(name, config.to_dict()) for name, config in configs.items()],
     )

@@ -32,7 +32,7 @@ from repro.plan import plan_fingerprint
 from repro.plan.artifact import (
     DeploymentError,
     DeploymentPlan,
-    first_meet_routing,
+    route_all_pairs,
 )
 from repro.runtime.incremental import (
     IncrementalEscalation,
@@ -199,9 +199,9 @@ def assert_sibling_validates_like_fresh(old_plan, network):
     fresh plan with the same placements, routing and network; returns
     the shared outcome, or ``"unroutable"``."""
     try:
-        routing = first_meet_routing(
-            old_plan.tdg, old_plan.placements, PathEnumerator(network)
-        )
+        routing = route_all_pairs(
+            old_plan.with_routing({}, network), PathEnumerator(network)
+        ).routing
     except (DeploymentError, KeyError):
         return "unroutable"
     sibling = old_plan.with_routing(routing, network)

@@ -28,10 +28,10 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
-def run_fresh(code: str):
-    """Run ``code`` in a new interpreter and return the JSON value it
-    prints last."""
-    env = dict(os.environ)
+def run_fresh(code: str, **environ: str):
+    """Run ``code`` in a new interpreter, with ``environ`` added to its
+    environment, and return the JSON value it prints last."""
+    env = {**os.environ, **environ}
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
     )
